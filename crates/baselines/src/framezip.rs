@@ -1,7 +1,8 @@
 //! `framezip` — a minimal frame-based compression container standing in for
 //! Zstandard / pzstd in the Table 4 comparison.
 //!
-//! Zstandard itself is out of scope for this reproduction (see DESIGN.md);
+//! Zstandard itself is out of scope for this reproduction (new codecs are out
+//! of scope, and the offline build has no zstd implementation to link);
 //! what Table 4 actually demonstrates is *structural*: frame-based formats
 //! can only be decompressed in parallel when the file was specially prepared
 //! with many frames (as `pzstd` does when compressing), whereas rapidgzip

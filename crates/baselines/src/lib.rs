@@ -6,7 +6,8 @@
 //!   only contains byte values 9–126.
 //! * [`framezip`] — a minimal frame-based container standing in for
 //!   Zstandard/pzstd in Table 4: a single-frame file cannot be decompressed
-//!   in parallel, a multi-frame file can (see DESIGN.md, substitutions).
+//!   in parallel, a multi-frame file can (see [`framezip`] for why it
+//!   stands in for zstd).
 //! * [`bgzf_parallel`] — a parallel BGZF decompressor using the `BC` extra
 //!   field to jump between members, emulating `bgzip -@`.
 //!

@@ -1,7 +1,7 @@
 //! Table 4: comparison with other compression formats and tools.
 //!
 //! zstd/pzstd/bzip2/lz4 are represented by the `framezip` stand-in (see
-//! DESIGN.md): a single-frame file reproduces zstd's "cannot be parallelized"
+//! `rgz_baselines::framezip` for why): a single-frame file reproduces zstd's "cannot be parallelized"
 //! behaviour, a multi-frame file reproduces pzstd's.
 
 use rgz_baselines::{decompress_bgzf_parallel, FramezipDecompressor, FramezipWriter};
@@ -121,5 +121,5 @@ fn main() {
             bandwidth_mb_per_s(data.len(), duration),
         );
     }
-    println!("# * framezip stand-in for Zstandard (see DESIGN.md, substitutions)");
+    println!("# * framezip stand-in for Zstandard (see rgz_baselines::framezip)");
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on three kinds of data, none of which can be shipped
 //! with this repository, so each has a synthetic stand-in with matched
-//! statistics (see DESIGN.md):
+//! statistics (compression ratio and back-reference density):
 //!
 //! * [`base64_random`] — base64-encoded random data (§4.4): compression ratio
 //!   ≈ 1.3, essentially no back-references, uniform compressibility.

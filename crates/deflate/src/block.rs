@@ -1,5 +1,5 @@
-//! DEFLATE block header parsing shared by the one-stage inflater, the
-//! two-stage inflater and the "custom deflate" block-finder variant.
+//! DEFLATE block header parsing shared by the inflater (both its one-stage
+//! and two-stage paths) and the "custom deflate" block-finder variant.
 
 use std::sync::OnceLock;
 
@@ -70,12 +70,9 @@ pub fn fixed_block_codes() -> BlockCodes {
     }
 }
 
-/// The decoders the one-stage fast path uses for a compressed block: the
-/// multi-symbol literal table plus the single-symbol decoders it falls back
-/// to (over-long codes, near-end-of-input tails) and the distance decoder.
-///
-/// The two-stage (marker) decoder keeps using [`BlockCodes`]: marker symbols
-/// cannot be packed, so it never pays for the fast table.
+/// The decoders the fast path uses for a compressed block: the multi-symbol
+/// literal table plus the single-symbol decoders it falls back to (over-long
+/// codes, near-end-of-input tails) and the distance decoder.
 #[derive(Debug, Clone)]
 pub struct FastBlockCodes {
     /// Single-symbol literal/length decoder — the exact reference fallback.

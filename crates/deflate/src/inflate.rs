@@ -8,14 +8,17 @@
 //! decoding in the middle of a stream does not know the preceding window, so
 //! back-references into it emit 16-bit *marker* symbols which a later, much
 //! cheaper pass replaces once the window is known.
+//!
+//! Both paths run one block loop, multi-symbol fast path included, generic
+//! over the output sink: bytes, or 16-bit symbols with markers.
 
 use rgz_bitio::BitReader;
 use rgz_huffman::{FastEntryKind, HuffmanDecoder, FAST_TABLE_BITS, MAX_LENGTH_EXTRA_BITS};
 
 use crate::block::{
     decode_distance, decode_length, dynamic_block_codes, dynamic_block_codes_fast,
-    fixed_block_codes, fixed_block_codes_fast, read_block_header, read_stored_header, BlockCodes,
-    BlockType, FastBlockCodes,
+    fixed_block_codes, fixed_block_codes_fast, read_block_header, read_stored_header, BlockType,
+    FastBlockCodes,
 };
 use crate::constants::{END_OF_BLOCK, WINDOW_SIZE};
 use crate::markers::WindowUsage;
@@ -101,6 +104,30 @@ fn should_stop_before_block(reader: &mut BitReader<'_>, stop_offset: u64) -> boo
     block_type == 0b00 || block_type == 0b10
 }
 
+/// The operations where one-stage and two-stage decoding differ; the block
+/// loop below is generic over them.
+trait OutputSink {
+    /// Length of the whole output buffer, including what it held before this
+    /// inflate call.
+    fn output_len(&self) -> usize;
+
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]);
+
+    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError>;
+
+    /// Appends the `length` payload bytes of a Non-Compressed Block.
+    fn append_stored(
+        &mut self,
+        reader: &mut BitReader<'_>,
+        length: usize,
+    ) -> Result<(), DeflateError>;
+
+    /// Fails once the output has grown past the caller's bound.
+    fn check_limit(&self) -> Result<(), DeflateError>;
+
+    fn window_usage(&self) -> &WindowUsage;
+}
+
 // --- one-stage decoding ------------------------------------------------------
 
 /// One-stage DEFLATE decoder state: output bytes plus the window that
@@ -134,66 +161,14 @@ impl<'w> ByteSink<'w> {
         }
     }
 
-    #[inline]
-    fn push_literal(&mut self, byte: u8) {
-        self.out.push(byte);
-    }
-
-    #[inline]
-    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
-        let position = self.out.len();
-        if distance > position + self.window.len() || distance == 0 || distance > WINDOW_SIZE {
-            return Err(DeflateError::DistanceTooFar {
-                distance,
-                available: position + self.window.len(),
-            });
-        }
-        if distance > position {
-            // The first `distance - position` bytes come out of the preceding
-            // window; record them so the index can sparsify the stored copy.
-            let reach = distance - position;
-            self.usage.mark(WINDOW_SIZE - reach, length.min(reach));
-            let from_window = reach.min(length);
-            let start = self.window.len() - reach;
-            self.out
-                .extend_from_slice(&self.window[start..start + from_window]);
-            // Once the source position crosses into this call's own output
-            // the copy continues as a plain self-referential match (the
-            // distance is unchanged and now <= out.len()).
-            let remaining = length - from_window;
-            if remaining > 0 {
-                self.copy_within_output(distance, remaining);
-            }
-        } else {
-            self.copy_within_output(distance, length);
-        }
-        Ok(())
-    }
-
     /// Copies `length` bytes from `distance` bytes behind the end of the
     /// output. Requires `1 <= distance <= out.len()`.
     #[inline]
     fn copy_within_output(&mut self, distance: usize, length: usize) {
         if self.scalar_copies {
-            self.copy_within_output_scalar(distance, length);
+            copy_within_output_scalar(&mut self.out, distance, length);
         } else {
             self.copy_within_output_overshoot(distance, length);
-        }
-    }
-
-    /// Portable reference for [`Self::copy_within_output`]: repeated
-    /// `extend_from_within` chunks, each a bounds-checked memcpy.
-    fn copy_within_output_scalar(&mut self, distance: usize, length: usize) {
-        let start = self.out.len() - distance;
-        // The output from `start` onwards repeats with period `distance`, so
-        // each `extend_from_within` chunk (a memcpy) may cover everything
-        // written so far past `start` — doubling per iteration instead of the
-        // byte-at-a-time loop an overlapping copy would otherwise need.
-        let mut copied = 0;
-        while copied < length {
-            let chunk = (length - copied).min(self.out.len() - start);
-            self.out.extend_from_within(start..start + chunk);
-            copied += chunk;
         }
     }
 
@@ -246,6 +221,91 @@ impl<'w> ByteSink<'w> {
     }
 }
 
+impl OutputSink for ByteSink<'_> {
+    #[inline]
+    fn output_len(&self) -> usize {
+        self.out.len()
+    }
+
+    #[inline]
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.out.extend_from_slice(&bytes);
+    }
+
+    #[inline]
+    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
+        let position = self.out.len();
+        if distance > position + self.window.len() || distance == 0 || distance > WINDOW_SIZE {
+            return Err(DeflateError::DistanceTooFar {
+                distance,
+                available: position + self.window.len(),
+            });
+        }
+        if distance > position {
+            // The first `distance - position` bytes come out of the preceding
+            // window; record them so the index can sparsify the stored copy.
+            let reach = distance - position;
+            self.usage.mark(WINDOW_SIZE - reach, length.min(reach));
+            let from_window = reach.min(length);
+            let start = self.window.len() - reach;
+            self.out
+                .extend_from_slice(&self.window[start..start + from_window]);
+            // Once the source position crosses into this call's own output
+            // the copy continues as a plain self-referential match (the
+            // distance is unchanged and now <= out.len()).
+            let remaining = length - from_window;
+            if remaining > 0 {
+                self.copy_within_output(distance, remaining);
+            }
+        } else {
+            self.copy_within_output(distance, length);
+        }
+        Ok(())
+    }
+
+    fn append_stored(
+        &mut self,
+        reader: &mut BitReader<'_>,
+        length: usize,
+    ) -> Result<(), DeflateError> {
+        let start = self.out.len();
+        if start.saturating_add(length) > self.limit {
+            return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
+        }
+        self.out.resize(start + length, 0);
+        reader.read_bytes(&mut self.out[start..])?;
+        Ok(())
+    }
+
+    #[inline]
+    fn check_limit(&self) -> Result<(), DeflateError> {
+        if self.out.len() > self.limit {
+            return Err(DeflateError::OutputLimitExceeded { limit: self.limit });
+        }
+        Ok(())
+    }
+
+    fn window_usage(&self) -> &WindowUsage {
+        &self.usage
+    }
+}
+
+/// Portable match copy of `length` elements from `distance` behind the end
+/// of `out` (`1 <= distance <= out.len()`), shared by both sinks.
+fn copy_within_output_scalar<T: Copy>(out: &mut Vec<T>, distance: usize, length: usize) {
+    let start = out.len() - distance;
+    // The output from `start` onwards repeats with period `distance`, so
+    // each `extend_from_within` chunk (a memcpy) may cover everything
+    // written so far past `start` — doubling per iteration instead of the
+    // element-at-a-time loop an overlapping copy would otherwise need.
+    let mut copied = 0;
+    while copied < length {
+        let chunk = (length - copied).min(out.len() - start);
+        out.extend_from_within(start..start + chunk);
+        copied += chunk;
+    }
+}
+
 /// Decodes DEFLATE blocks starting at the reader's current position,
 /// appending plain bytes to `out`.
 ///
@@ -259,7 +319,7 @@ pub fn inflate(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, false, true)
+    inflate_bytes(reader, window, out, stop_offset, usize::MAX, true)
 }
 
 /// [`inflate`] decoding through the single-symbol reference decoder instead
@@ -275,7 +335,7 @@ pub fn inflate_single_symbol(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, false, false)
+    inflate_bytes(reader, window, out, stop_offset, usize::MAX, false)
 }
 
 /// [`inflate`] that additionally computes the CRC-32 of the bytes it appends
@@ -290,7 +350,12 @@ pub fn inflate_hashed(
     out: &mut Vec<u8>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, usize::MAX, true, true)
+    let start = out.len();
+    let mut outcome = inflate(reader, window, out, stop_offset)?;
+    // Hashing after the decode loop keeps the per-byte hot path untouched;
+    // the slicing-by-eight CRC makes this one cheap linear pass.
+    outcome.crc32 = Some(rgz_checksum::crc32(&out[start..]));
+    Ok(outcome)
 }
 
 /// [`inflate`] with an upper bound on the total length of `out`: decoding an
@@ -304,8 +369,24 @@ pub fn inflate_limited(
     stop_offset: u64,
     output_limit: usize,
 ) -> Result<InflateOutcome, DeflateError> {
-    inflate_impl(reader, window, out, stop_offset, output_limit, false, true)
+    inflate_bytes(reader, window, out, stop_offset, output_limit, true)
 }
+
+fn inflate_bytes(
+    reader: &mut BitReader<'_>,
+    window: &[u8],
+    out: &mut Vec<u8>,
+    stop_offset: u64,
+    output_limit: usize,
+    fast: bool,
+) -> Result<InflateOutcome, DeflateError> {
+    let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
+    let outcome = inflate_impl(reader, &mut sink, stop_offset, fast)?;
+    *out = sink.out;
+    Ok(outcome)
+}
+
+// --- the block loop, shared by both sinks -----------------------------------
 
 /// Minimum remaining input (bits) for a Dynamic Block to take the
 /// multi-symbol fast path; below this the packed-table build dominates the
@@ -313,19 +394,13 @@ pub fn inflate_limited(
 /// thousand symbols.
 const DYNAMIC_FAST_MIN_REMAINING_BITS: u64 = 16 * 1024;
 
-fn inflate_impl(
+fn inflate_impl<S: OutputSink>(
     reader: &mut BitReader<'_>,
-    window: &[u8],
-    out: &mut Vec<u8>,
+    sink: &mut S,
     stop_offset: u64,
-    output_limit: usize,
-    hash_output: bool,
     fast: bool,
 ) -> Result<InflateOutcome, DeflateError> {
-    let start_len = out.len();
-    let mut sink = ByteSink::new(window, std::mem::take(out), output_limit);
-    let base = start_len as u64;
-
+    let base = sink.output_len();
     let mut blocks = Vec::new();
     let mut fast_fallback_blocks = 0u32;
     let stop_reason = loop {
@@ -339,35 +414,21 @@ fn inflate_impl(
         let header = read_block_header(reader)?;
         blocks.push(BlockBoundary {
             bit_offset: block_start,
-            uncompressed_offset: sink.out.len() as u64 - base,
+            uncompressed_offset: (sink.output_len() - base) as u64,
             block_type: header.block_type,
             is_final: header.is_final,
         });
         match header.block_type {
             BlockType::Stored => {
                 let length = read_stored_header(reader)?;
-                let start = sink.out.len();
-                if start.saturating_add(length) > sink.limit {
-                    return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-                }
-                sink.out.resize(start + length, 0);
-                reader.read_bytes(&mut sink.out[start..])?;
+                sink.append_stored(reader, length)?;
             }
             BlockType::Fixed => {
                 if fast {
-                    decode_compressed_block_bytes_fast(
-                        reader,
-                        fixed_block_codes_fast(),
-                        &mut sink,
-                    )?;
+                    decode_compressed_block_fast(reader, fixed_block_codes_fast(), sink)?;
                 } else {
                     let codes = fixed_block_codes();
-                    decode_compressed_block_bytes(
-                        reader,
-                        &codes.literal,
-                        codes.distance.as_ref(),
-                        &mut sink,
-                    )?;
+                    decode_compressed_block(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
             }
             BlockType::Dynamic => {
@@ -377,18 +438,13 @@ fn inflate_impl(
                 // decode through the reference tables (identical output).
                 if fast && reader.remaining_bits() >= DYNAMIC_FAST_MIN_REMAINING_BITS {
                     let codes = dynamic_block_codes_fast(reader)?;
-                    decode_compressed_block_bytes_fast(reader, &codes, &mut sink)?;
+                    decode_compressed_block_fast(reader, &codes, sink)?;
                 } else {
                     if fast {
                         fast_fallback_blocks += 1;
                     }
                     let codes = dynamic_block_codes(reader)?;
-                    decode_compressed_block_bytes(
-                        reader,
-                        &codes.literal,
-                        codes.distance.as_ref(),
-                        &mut sink,
-                    )?;
+                    decode_compressed_block(reader, &codes.literal, codes.distance.as_ref(), sink)?;
                 }
             }
         }
@@ -397,16 +453,12 @@ fn inflate_impl(
         }
     };
 
-    *out = sink.out;
-    // Hashing after the decode loop keeps the per-byte hot path untouched;
-    // the slicing-by-eight CRC makes this one cheap linear pass.
-    let crc32 = hash_output.then(|| rgz_checksum::crc32(&out[start_len..]));
     Ok(InflateOutcome {
         blocks,
         stop_reason,
         end_position: reader.position(),
-        window_usage: sink.usage.intervals(),
-        crc32,
+        window_usage: sink.window_usage().intervals(),
+        crc32: None,
         fast_fallback_blocks,
     })
 }
@@ -415,17 +467,17 @@ fn inflate_impl(
 /// decoder and applies it to the sink. Returns `true` when the symbol ended
 /// the block.
 #[inline]
-fn decode_one_symbol(
+fn decode_one_symbol<S: OutputSink>(
     reader: &mut BitReader<'_>,
     literal: &HuffmanDecoder,
     distance_decoder: Option<&HuffmanDecoder>,
-    sink: &mut ByteSink<'_>,
+    sink: &mut S,
 ) -> Result<bool, DeflateError> {
     let symbol = literal
         .decode(reader)
         .map_err(DeflateError::InvalidLiteralCode)?;
     if symbol < 256 {
-        sink.push_literal(symbol as u8);
+        sink.push_literals([symbol as u8]);
     } else if symbol == END_OF_BLOCK {
         return Ok(true);
     } else {
@@ -436,18 +488,17 @@ fn decode_one_symbol(
     Ok(false)
 }
 
-fn decode_compressed_block_bytes(
+/// The single-symbol reference loop for one compressed block body.
+fn decode_compressed_block<S: OutputSink>(
     reader: &mut BitReader<'_>,
     literal: &HuffmanDecoder,
     distance_decoder: Option<&HuffmanDecoder>,
-    sink: &mut ByteSink<'_>,
+    sink: &mut S,
 ) -> Result<(), DeflateError> {
     loop {
         // Checked once per symbol, so a hostile stream can overshoot the
         // limit by at most one match (258 bytes) before erroring out.
-        if sink.out.len() > sink.limit {
-            return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-        }
+        sink.check_limit()?;
         if decode_one_symbol(reader, literal, distance_decoder, sink)? {
             return Ok(());
         }
@@ -464,15 +515,15 @@ const FAST_STEP_BITS: u32 = FAST_TABLE_BITS + MAX_LENGTH_EXTRA_BITS;
 /// ISA-L, §4.1): one [`BitReader::fill_buffer`] refill amortises over several
 /// table hits, and each hit resolves up to two symbols.
 ///
-/// Behaviour is bit-for-bit identical to [`decode_compressed_block_bytes`]:
+/// Behaviour is bit-for-bit identical to [`decode_compressed_block`]:
 /// patterns the fast table cannot resolve (codes longer than
 /// [`FAST_TABLE_BITS`] bits, invalid codes) and near-end-of-input tails are
 /// delegated to the reference decoder, which also reproduces its exact
 /// errors.
-fn decode_compressed_block_bytes_fast(
+fn decode_compressed_block_fast<S: OutputSink>(
     reader: &mut BitReader<'_>,
     codes: &FastBlockCodes,
-    sink: &mut ByteSink<'_>,
+    sink: &mut S,
 ) -> Result<(), DeflateError> {
     loop {
         reader.fill_buffer();
@@ -480,24 +531,17 @@ fn decode_compressed_block_bytes_fast(
             // Fewer than FAST_STEP_BITS bits left in the *entire input* (a
             // refill otherwise always buffers more): finish the block — at
             // most a couple of symbols — through the checked reference loop.
-            return decode_compressed_block_bytes(
-                reader,
-                &codes.literal,
-                codes.distance.as_ref(),
-                sink,
-            );
+            return decode_compressed_block(reader, &codes.literal, codes.distance.as_ref(), sink);
         }
         while reader.cached_bits() >= FAST_STEP_BITS {
-            if sink.out.len() > sink.limit {
-                return Err(DeflateError::OutputLimitExceeded { limit: sink.limit });
-            }
+            sink.check_limit()?;
             let entry = codes
                 .literal_fast
                 .entry(reader.peek_cached(FAST_TABLE_BITS));
             match entry.kind() {
                 FastEntryKind::LiteralTriple => {
                     reader.consume_cached(entry.consumed_bits());
-                    sink.out.extend_from_slice(&[
+                    sink.push_literals([
                         entry.literal(),
                         entry.second_literal(),
                         entry.third_literal(),
@@ -505,12 +549,11 @@ fn decode_compressed_block_bytes_fast(
                 }
                 FastEntryKind::LiteralPair => {
                     reader.consume_cached(entry.consumed_bits());
-                    sink.out
-                        .extend_from_slice(&[entry.literal(), entry.second_literal()]);
+                    sink.push_literals([entry.literal(), entry.second_literal()]);
                 }
                 FastEntryKind::Literal => {
                     reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
+                    sink.push_literals([entry.literal()]);
                 }
                 FastEntryKind::Length => {
                     reader.consume_cached(entry.consumed_bits());
@@ -518,7 +561,7 @@ fn decode_compressed_block_bytes_fast(
                 }
                 FastEntryKind::LiteralLength => {
                     reader.consume_cached(entry.consumed_bits());
-                    sink.push_literal(entry.literal());
+                    sink.push_literals([entry.literal()]);
                     finish_fast_match(reader, codes, sink, entry)?;
                 }
                 FastEntryKind::EndOfBlock => {
@@ -545,10 +588,10 @@ const FAST_DISTANCE_BITS: u32 =
 /// distance — from the buffer too when one refill covers the worst case,
 /// through the checked reference path otherwise (near end of input).
 #[inline]
-fn finish_fast_match(
+fn finish_fast_match<S: OutputSink>(
     reader: &mut BitReader<'_>,
     codes: &FastBlockCodes,
-    sink: &mut ByteSink<'_>,
+    sink: &mut S,
     entry: rgz_huffman::FastEntry,
 ) -> Result<(), DeflateError> {
     let extra_bits = entry.length_extra_bits();
@@ -585,50 +628,81 @@ fn finish_fast_match(
 /// and values `>= MARKER_BASE` are markers into the unknown window.
 struct MarkerSink {
     out: Vec<u16>,
+    /// Length of `out` when this inflate call started: positions count from
+    /// here, and anything before it counts as unknown window.
+    base: usize,
     usage: WindowUsage,
 }
 
 impl MarkerSink {
+    fn new(out: Vec<u16>) -> Self {
+        Self {
+            base: out.len(),
+            out,
+            usage: WindowUsage::new(),
+        }
+    }
+}
+
+impl OutputSink for MarkerSink {
     #[inline]
-    fn push_literal(&mut self, byte: u8) {
-        self.out.push(byte as u16);
+    fn output_len(&self) -> usize {
+        self.out.len()
     }
 
     #[inline]
-    fn copy_match(
-        &mut self,
-        distance: usize,
-        length: usize,
-        base: usize,
-    ) -> Result<(), DeflateError> {
+    fn push_literals<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.out.extend_from_slice(&bytes.map(u16::from));
+    }
+
+    #[inline]
+    fn copy_match(&mut self, distance: usize, length: usize) -> Result<(), DeflateError> {
         if distance == 0 || distance > WINDOW_SIZE {
             return Err(DeflateError::DistanceTooFar {
                 distance,
                 available: WINDOW_SIZE,
             });
         }
-        let start_position = self.out.len() - base;
-        if distance > start_position {
-            let reach = distance - start_position;
-            self.usage.mark(WINDOW_SIZE - reach, length.min(reach));
-        }
-        for _ in 0..length {
-            // Position within this inflate call (excluding data decoded by
-            // previous calls appended to the same buffer).
-            let position = self.out.len() - base;
-            let symbol = if distance <= position {
-                self.out[self.out.len() - distance]
-            } else {
-                // Reference into the unknown preceding window.  The window
-                // offset counts from the oldest window byte; the byte at
-                // distance `d` behind position `p` sits `d - p` bytes before
-                // the chunk, i.e. at window offset `WINDOW_SIZE - (d - p)`.
-                let window_offset = WINDOW_SIZE - (distance - position);
-                MARKER_BASE + window_offset as u16
-            };
-            self.out.push(symbol);
+        let position = self.out.len() - self.base;
+        if distance > position {
+            // The byte at distance `d` behind position `p` sits `d - p` bytes
+            // before the chunk, at window offset `WINDOW_SIZE - (d - p)`
+            // (offsets count from the oldest window byte); each further
+            // symbol of the match reads the next window byte.
+            let reach = distance - position;
+            let first = WINDOW_SIZE - reach;
+            let from_window = reach.min(length);
+            self.usage.mark(first, from_window);
+            self.out
+                .extend((first..first + from_window).map(|offset| MARKER_BASE + offset as u16));
+            let remaining = length - from_window;
+            if remaining > 0 {
+                copy_within_output_scalar(&mut self.out, distance, remaining);
+            }
+        } else {
+            copy_within_output_scalar(&mut self.out, distance, length);
         }
         Ok(())
+    }
+
+    fn append_stored(
+        &mut self,
+        reader: &mut BitReader<'_>,
+        length: usize,
+    ) -> Result<(), DeflateError> {
+        let mut buffer = vec![0u8; length];
+        reader.read_bytes(&mut buffer)?;
+        self.out.extend(buffer.iter().map(|&b| b as u16));
+        Ok(())
+    }
+
+    #[inline]
+    fn check_limit(&self) -> Result<(), DeflateError> {
+        Ok(())
+    }
+
+    fn window_usage(&self) -> &WindowUsage {
+        &self.usage
     }
 }
 
@@ -644,80 +718,10 @@ pub fn inflate_two_stage(
     out: &mut Vec<u16>,
     stop_offset: u64,
 ) -> Result<InflateOutcome, DeflateError> {
-    let base = out.len();
-    let mut sink = MarkerSink {
-        out: std::mem::take(out),
-        usage: WindowUsage::new(),
-    };
-
-    let mut blocks = Vec::new();
-    let stop_reason = loop {
-        if should_stop_before_block(reader, stop_offset) {
-            break StopReason::StopOffsetReached;
-        }
-        if reader.remaining_bits() == 0 && !blocks.is_empty() {
-            break StopReason::EndOfInput;
-        }
-        let block_start = reader.position();
-        let header = read_block_header(reader)?;
-        blocks.push(BlockBoundary {
-            bit_offset: block_start,
-            uncompressed_offset: (sink.out.len() - base) as u64,
-            block_type: header.block_type,
-            is_final: header.is_final,
-        });
-        match header.block_type {
-            BlockType::Stored => {
-                let length = read_stored_header(reader)?;
-                let mut buffer = vec![0u8; length];
-                reader.read_bytes(&mut buffer)?;
-                sink.out.extend(buffer.iter().map(|&b| b as u16));
-            }
-            BlockType::Fixed => {
-                decode_compressed_block_markers(reader, &fixed_block_codes(), &mut sink, base)?;
-            }
-            BlockType::Dynamic => {
-                let codes = dynamic_block_codes(reader)?;
-                decode_compressed_block_markers(reader, &codes, &mut sink, base)?;
-            }
-        }
-        if header.is_final {
-            break StopReason::EndOfStream;
-        }
-    };
-
+    let mut sink = MarkerSink::new(std::mem::take(out));
+    let outcome = inflate_impl(reader, &mut sink, stop_offset, true)?;
     *out = sink.out;
-    Ok(InflateOutcome {
-        blocks,
-        stop_reason,
-        end_position: reader.position(),
-        window_usage: sink.usage.intervals(),
-        crc32: None,
-        fast_fallback_blocks: 0,
-    })
-}
-
-fn decode_compressed_block_markers(
-    reader: &mut BitReader<'_>,
-    codes: &BlockCodes,
-    sink: &mut MarkerSink,
-    base: usize,
-) -> Result<(), DeflateError> {
-    loop {
-        let symbol = codes
-            .literal
-            .decode(reader)
-            .map_err(DeflateError::InvalidLiteralCode)?;
-        if symbol < 256 {
-            sink.push_literal(symbol as u8);
-        } else if symbol == END_OF_BLOCK {
-            return Ok(());
-        } else {
-            let length = decode_length(symbol, reader)?;
-            let distance = decode_distance(codes.distance.as_ref(), reader)?;
-            sink.copy_match(distance, length, base)?;
-        }
-    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -971,6 +975,15 @@ mod tests {
             sink.copy_match(5, 3),
             Err(DeflateError::DistanceTooFar { .. })
         ));
+        // Two-stage decoding only rejects distances no window could serve.
+        let mut markers = MarkerSink::new(Vec::new());
+        assert_eq!(
+            markers.copy_match(WINDOW_SIZE + 1, 3),
+            Err(DeflateError::DistanceTooFar {
+                distance: WINDOW_SIZE + 1,
+                available: WINDOW_SIZE,
+            })
+        );
     }
 
     /// Drives both decode paths over the same bytes and asserts identical
@@ -992,6 +1005,55 @@ mod tests {
                 assert_eq!(fast.blocks, reference.blocks);
             }
             (fast, reference) => assert_eq!(fast.err(), reference.err()),
+        }
+    }
+
+    /// Two-stage counterpart of [`assert_paths_agree`]: decodes `compressed`
+    /// without a window from the first block boundary past 32 KiB in `clean`
+    /// (the uncorrupted stream of `data`), with the fast path on and off, and
+    /// asserts identical symbols, metadata and errors.  When decoding
+    /// succeeds, replacing the markers with the true window must reproduce
+    /// the one-stage decode of the same range.
+    fn assert_two_stage_paths_agree(clean: &[u8], compressed: &[u8], data: &[u8]) {
+        let mut full = Vec::new();
+        let outcome = inflate(&mut BitReader::new(clean), &[], &mut full, u64::MAX).unwrap();
+        let Some(boundary) = outcome
+            .blocks
+            .iter()
+            .find(|b| b.uncompressed_offset >= WINDOW_SIZE as u64)
+        else {
+            return;
+        };
+        let decode = |fast: bool| {
+            let mut reader = BitReader::new(compressed);
+            reader.seek_to_bit(boundary.bit_offset).ok()?;
+            let mut sink = MarkerSink::new(Vec::new());
+            let outcome = inflate_impl(&mut reader, &mut sink, u64::MAX, fast);
+            Some((outcome, sink.out))
+        };
+        let (Some(fast), Some(reference)) = (decode(true), decode(false)) else {
+            return;
+        };
+        match (fast, reference) {
+            ((Ok(fast), symbols), (Ok(reference), reference_symbols)) => {
+                assert_eq!(symbols, reference_symbols);
+                assert_eq!(fast.blocks, reference.blocks);
+                assert_eq!(fast.stop_reason, reference.stop_reason);
+                assert_eq!(fast.end_position, reference.end_position);
+                assert_eq!(fast.window_usage, reference.window_usage);
+
+                let split = boundary.uncompressed_offset as usize;
+                let window = &data[split - WINDOW_SIZE..split];
+                let mut reader = BitReader::new(compressed);
+                reader.seek_to_bit(boundary.bit_offset).unwrap();
+                let mut one_stage = Vec::new();
+                inflate(&mut reader, window, &mut one_stage, u64::MAX).unwrap();
+                assert_eq!(
+                    crate::markers::replace_markers(&symbols, window).unwrap(),
+                    one_stage
+                );
+            }
+            ((fast, _), (reference, _)) => assert_eq!(fast.err(), reference.err()),
         }
     }
 
@@ -1091,13 +1153,57 @@ mod tests {
             let mut scalar = ByteSink::new(&[], vec![7u8], usize::MAX);
             scalar.scalar_copies = true;
             for (literal, distance, length) in ops {
-                fast.push_literal(literal);
-                scalar.push_literal(literal);
+                fast.push_literals([literal]);
+                scalar.push_literals([literal]);
                 let distance = 1 + distance % fast.out.len();
                 fast.copy_within_output(distance, length);
                 scalar.copy_within_output(distance, length);
                 proptest::prop_assert_eq!(&fast.out, &scalar.out);
             }
+        }
+
+        /// The marker sink's match copy (marker runs for references into the
+        /// unknown window, doubling copies inside the chunk) must equal the
+        /// per-symbol definition: each copied symbol is the one `distance`
+        /// back, or the marker of window offset `WINDOW_SIZE - (distance - p)`
+        /// while that lies before the chunk.  `prefix` symbols of an earlier
+        /// call already sit in the buffer and count as window.
+        #[test]
+        fn marker_match_copies_follow_the_per_symbol_definition(
+            prefix in 0usize..4,
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), 0u8..3, 1usize..=WINDOW_SIZE, 1usize..300),
+                1..60,
+            ),
+        ) {
+            let mut sink = MarkerSink::new(vec![1; prefix]);
+            let mut expected = vec![1u16; prefix];
+            for (literal, kind, distance, length) in ops {
+                sink.push_literals([literal]);
+                expected.push(literal as u16);
+                let position = expected.len() - prefix;
+                let distance = match kind {
+                    // Inside the chunk.
+                    0 => 1 + distance % position,
+                    // Straddling the chunk start.
+                    1 => (position + 1 + distance % 300).min(WINDOW_SIZE),
+                    _ => distance,
+                };
+                sink.copy_match(distance, length).unwrap();
+                for _ in 0..length {
+                    let position = expected.len() - prefix;
+                    expected.push(if distance <= position {
+                        expected[expected.len() - distance]
+                    } else {
+                        MARKER_BASE + (WINDOW_SIZE - (distance - position)) as u16
+                    });
+                }
+                proptest::prop_assert_eq!(&sink.out, &expected);
+            }
+            proptest::prop_assert_eq!(
+                sink.usage.intervals(),
+                WindowUsage::from_symbols(&expected[prefix..]).intervals()
+            );
         }
 
         /// The tentpole guarantee: on arbitrary compressible inputs, dynamic
@@ -1112,33 +1218,47 @@ mod tests {
             // 0 encodes "no corruption" / "no truncation".
             flip_bit in 0usize..100_000,
             truncate_at in 0usize..100_000,
+            // Bytes preceding `data` in the two-stage stream, so that its
+            // decode starts past a full window of history.
+            history in WINDOW_SIZE..2 * WINDOW_SIZE,
         ) {
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
             // Mixed compressibility: runs, random bytes, repeated phrases.
-            let mut data = Vec::with_capacity(length);
-            while data.len() < length {
-                match rng.gen_range(0..3) {
-                    0 => data.extend(std::iter::repeat_n(rng.gen::<u8>(), rng.gen_range(1..200))),
-                    1 => data.extend((0..rng.gen_range(1..200)).map(|_| rng.gen::<u8>())),
-                    _ => data.extend_from_slice(b"the quick brown fox jumps over the lazy dog "),
+            let mut generate = |length: usize| {
+                let mut data = Vec::with_capacity(length);
+                while data.len() < length {
+                    match rng.gen_range(0..3) {
+                        0 => data.extend(std::iter::repeat_n(rng.gen::<u8>(), rng.gen_range(1..200))),
+                        1 => data.extend((0..rng.gen_range(1..200)).map(|_| rng.gen::<u8>())),
+                        _ => data.extend_from_slice(b"the quick brown fox jumps over the lazy dog "),
+                    }
                 }
-            }
-            data.truncate(length);
-            let options = CompressorOptions {
+                data.truncate(length);
+                data
+            };
+            let data = generate(length);
+            let compressor = DeflateCompressor::new(CompressorOptions {
                 block_size: block_size * 1024,
                 ..Default::default()
+            });
+            let corrupt = |mut compressed: Vec<u8>| {
+                if flip_bit > 0 {
+                    let bit = flip_bit % (compressed.len() * 8);
+                    compressed[bit / 8] ^= 1 << (bit % 8);
+                }
+                if truncate_at > 0 {
+                    compressed.truncate(truncate_at.min(compressed.len()));
+                }
+                compressed
             };
-            let mut compressed = DeflateCompressor::new(options).compress(&data);
-            if flip_bit > 0 {
-                let bit = flip_bit % (compressed.len() * 8);
-                compressed[bit / 8] ^= 1 << (bit % 8);
-            }
-            if truncate_at > 0 {
-                compressed.truncate(truncate_at.min(compressed.len()));
-            }
-            assert_paths_agree(&compressed, &[]);
+            assert_paths_agree(&corrupt(compressor.compress(&data)), &[]);
+
+            let mut stream = generate(history);
+            stream.extend_from_slice(&data);
+            let clean = compressor.compress(&stream);
+            assert_two_stage_paths_agree(&clean, &corrupt(clean.clone()), &stream);
         }
     }
 

@@ -7,7 +7,9 @@
 //! * [`constants`] — RFC 1951 tables (length/distance codes, fixed codes).
 //! * [`block`] — block header parsing shared by all decoders and the
 //!   block finder.
-//! * [`inflate()`] / [`inflate_two_stage()`] — the two decoding paths.
+//! * [`inflate()`] / [`inflate_two_stage()`] — the two decoding paths, which
+//!   share one block loop (and its multi-symbol fast path) and differ only in
+//!   their output sink: bytes, or 16-bit symbols with window markers.
 //! * [`markers`] — marker replacement and window resolution (second stage).
 //! * [`compress`] — a complete DEFLATE compressor used to build test data
 //!   and benchmark corpora.

@@ -2,9 +2,8 @@
 //!
 //! The strategy is consulted with the history of recently accessed chunk
 //! indexes and answers with the chunk indexes worth prefetching.  It does not
-//! keep track of what is already cached — the [`crate::ChunkFetcher`] filters
-//! out chunks that are cached or already in flight, exactly as the paper
-//! describes.
+//! keep track of what is already cached — its caller filters out chunks that
+//! are cached or already in flight, exactly as the paper describes.
 
 /// Interface of a prefetching strategy.
 pub trait FetchingStrategy: Send + Sync {

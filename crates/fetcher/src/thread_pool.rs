@@ -409,4 +409,22 @@ mod tests {
         // All submitted tasks ran before drop returned.
         assert_eq!(counter.load(Ordering::SeqCst), 50);
     }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // Workers of a pool dropped right after creation race their first
+        // receive against the disconnect; a lost wakeup hangs `drop` in
+        // `join`, so the loop runs under a watchdog.
+        let (done, finished) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                drop(ThreadPool::new(2));
+            }
+            done.send(()).expect("watchdog gone");
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("dropping a thread pool hung");
+        cycles.join().expect("pool cycling thread panicked");
+    }
 }

@@ -112,17 +112,19 @@ impl Sampler {
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
         });
+        // The baseline is taken before `start` returns, so everything the
+        // caller records afterwards lands in a delta window.
+        let started = Instant::now();
+        let mut previous = TimedSample {
+            elapsed: Duration::ZERO,
+            snapshot: registry.snapshot(),
+        };
+        shared.push(previous.clone());
         let (stop, ticks) = mpsc::channel::<()>();
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("rgz-sampler".to_string())
             .spawn(move || {
-                let started = Instant::now();
-                let mut previous = TimedSample {
-                    elapsed: Duration::ZERO,
-                    snapshot: registry.snapshot(),
-                };
-                thread_shared.push(previous.clone());
                 // Any non-timeout result means the sender hung up (or sent an
                 // explicit stop message): the loop ends and the thread exits.
                 while let Err(RecvTimeoutError::Timeout) = ticks.recv_timeout(interval) {
@@ -238,5 +240,27 @@ mod tests {
         }
         drop(sampler);
         assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn counts_recorded_right_after_start_land_in_the_first_window() {
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let counter = registry.counter("early_total", "test");
+        let (windows, received) = mpsc::channel();
+        // A long interval keeps the first tick well after the bump below.
+        let sampler = Sampler::start_with_observer(
+            Arc::clone(&registry),
+            Duration::from_secs(1),
+            4,
+            Some(Box::new(move |window| {
+                let _ = windows.send(window.counter_total_delta("early_total"));
+            })),
+        );
+        counter.add(5);
+        let first = received
+            .recv_timeout(Duration::from_secs(10))
+            .expect("sampler produced no window");
+        drop(sampler);
+        assert_eq!(first, 5);
     }
 }
