@@ -2,8 +2,8 @@
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
 //! binary in `src/bin/` (README.md, "Reproducing the paper's figures and
-//! tables", lists the mapping); the Criterion benches under `benches/` cover
-//! the micro-benchmarks (Figure 7, Table 2).
+//! tables", lists the mapping), the micro-benchmarks (Figure 7, Table 2)
+//! included.
 //!
 //! All harness binaries accept `--quick` (or the environment variable
 //! `RGZ_BENCH_QUICK=1`) to run at CI-friendly sizes; without it they use

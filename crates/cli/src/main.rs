@@ -26,10 +26,9 @@
 //!                             as Chrome trace-event JSON to PATH (load in
 //!                             ui.perfetto.dev or chrome://tracing)
 //!       --trace-report[=json] print an aggregated trace report (per-stage
-//!                             latency percentiles, worker utilization,
-//!                             speculation waste, prefetch hit rate) to stderr;
-//!                             `=json` emits one machine-readable JSON line
-//!       --metrics[=json]      deprecated alias for --trace-report[=json]
+//!                             latency percentiles, worker utilization) to
+//!                             stderr; `=json` emits one machine-readable JSON
+//!                             line (chunk and prefetch counts are in -v)
 //!       --stats-interval <S>  print a live one-line progress report (input/
 //!                             output MB/s, ETA, window-cache hit rate, pool
 //!                             queue depth) to stderr every S seconds,
@@ -171,16 +170,6 @@ fn parse_arguments() -> Result<Options, String> {
                 options.trace_report = Some(ReportFormat::Text);
             }
             "--trace-report=json" => options.trace_report = Some(ReportFormat::Json),
-            // Deprecated spellings kept for one release so existing scripts
-            // and the perf harness keep working.
-            "--metrics" | "--metrics=text" => {
-                eprintln!("rgzip: warning: --metrics is deprecated; use --trace-report");
-                options.trace_report = Some(ReportFormat::Text);
-            }
-            "--metrics=json" => {
-                eprintln!("rgzip: warning: --metrics=json is deprecated; use --trace-report=json");
-                options.trace_report = Some(ReportFormat::Json);
-            }
             "--stats-interval" => {
                 let seconds: f64 = next_value(&mut arguments, "--stats-interval")?
                     .parse()

@@ -159,21 +159,9 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
         "decode spans cover only {covered_to} of {compressed_size} compressed bytes"
     );
 
-    // The aggregated metrics JSON (one object line on stderr) must reconcile
-    // with the reader statistics printed by --verbose.
+    // The timeline's commit instants must match the committed-chunk count
+    // that --verbose prints from the reader statistics.
     let stderr = String::from_utf8_lossy(&output.stderr);
-    let metrics_line = stderr
-        .lines()
-        .find(|line| line.starts_with('{') && line.contains("\"wall_us\""))
-        .expect("no metrics JSON line on stderr");
-    let metrics = parse(metrics_line).expect("metrics line is not valid JSON");
-    let speculation = metrics.get("speculation").expect("no speculation block");
-    let committed = number(speculation, "committed_chunks") as u64;
-    assert_eq!(
-        committed, commit_instants,
-        "metrics and trace disagree on committed chunks"
-    );
-
     let verbose_line = stderr
         .lines()
         .find(|line| line.contains("speculative,"))
@@ -185,10 +173,15 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
         .and_then(|n| n.parse().ok())
         .expect("unparseable chunk statistics line");
     assert_eq!(
-        committed, statistics_committed,
-        "metrics JSON disagrees with ReaderStatistics:\n{stderr}"
+        commit_instants, statistics_committed,
+        "trace instants disagree with ReaderStatistics:\n{stderr}"
     );
 
+    let metrics_line = stderr
+        .lines()
+        .find(|line| line.starts_with('{') && line.contains("\"wall_us\""))
+        .expect("no trace report JSON line on stderr");
+    let metrics = parse(metrics_line).expect("trace report line is not valid JSON");
     let stages = metrics
         .get("stages")
         .and_then(|s| s.as_object())
@@ -198,15 +191,14 @@ fn trace_flag_emits_parseable_chrome_trace_covering_the_input() {
     };
     assert_eq!(
         stage_count(stages, "marker_replace"),
-        Some(committed),
+        Some(commit_instants),
         "every committed chunk gets exactly one marker_replace span"
     );
     assert!(stage_count(stages, "crc_fold").unwrap_or(0) > 0);
     assert!(number(&metrics, "wall_us") > 0.0);
 }
 
-/// The serial path still honors the deprecated `--metrics` spelling: it must
-/// behave exactly like `--trace-report` and print a deprecation warning.
+/// The serial path records its one decode span and prints the text report.
 #[test]
 fn serial_path_traces_and_reports_metrics() {
     let dir = TempDir::new("serial");
@@ -222,7 +214,7 @@ fn serial_path_traces_and_reports_metrics() {
         "--serial",
         "--trace",
         path_str(&trace_path),
-        "--metrics",
+        "--trace-report",
         "-o",
         path_str(&dir.file("out")),
         path_str(&dir.file("corpus.gz")),
@@ -242,15 +234,11 @@ fn serial_path_traces_and_reports_metrics() {
     });
     assert!(serial_span, "missing serial_decode span in the trace");
 
-    // Human-readable trace report on stderr, plus the deprecation notice.
+    // Human-readable trace report on stderr.
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
         stderr.contains("trace:") && stderr.contains("serial_decode"),
         "missing trace report:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("--metrics is deprecated"),
-        "missing deprecation warning for --metrics:\n{stderr}"
     );
 }
 

@@ -1,11 +1,15 @@
 //! Reader-level metric handles and the mapping between the live registry and
 //! [`ReaderStatistics`](crate::reader::ReaderStatistics).
 //!
-//! Every counter the reader already tracks in `ReaderStatistics` has a
-//! registry twin, incremented at the same program point, so a registry
-//! snapshot and a `statistics()` call can never disagree.  The reverse
-//! mapping lives in [`ReaderStatistics::from_metrics_snapshot`]; a
-//! reconciliation test pins the two representations to each other.
+//! Each reader event is counted exactly once, by one registry counter.
+//! Every reader registers these families on a registry: the one passed to
+//! [`with_metrics`](crate::ParallelGzipReaderOptions::with_metrics), or else
+//! a reader-owned enabled registry.  `ReaderStatistics` is not kept
+//! separately; [`ReaderStatistics::from_metrics_snapshot`] is the single
+//! mapping from counter to field, and
+//! [`ParallelGzipReader::statistics`](crate::ParallelGzipReader::statistics)
+//! is that mapping applied to a snapshot.  Consequently readers that share
+//! one registry share counts, and a disabled registry reads zero.
 
 use std::sync::Arc;
 
@@ -25,8 +29,7 @@ fn stage_buckets() -> Vec<f64> {
 ///
 /// Handles are resolved once at reader construction; the hot paths touch
 /// only sharded relaxed atomics (or a single relaxed load when recording is
-/// disabled).  `disconnected()` gives inert handles for readers built
-/// without a registry so call sites stay unconditional.
+/// disabled).
 #[derive(Debug)]
 pub(crate) struct ReaderMetrics {
     pub registry: Arc<MetricsRegistry>,
@@ -52,33 +55,6 @@ pub(crate) struct ReaderMetrics {
 }
 
 impl ReaderMetrics {
-    /// Inert handles: every record call is a single relaxed load of a
-    /// never-enabled gate.
-    pub fn disconnected() -> Self {
-        Self {
-            registry: MetricsRegistry::shared_disabled(),
-            chunks_speculative: Counter::disconnected(),
-            chunks_on_demand: Counter::disconnected(),
-            chunks_index: Counter::disconnected(),
-            chunks_wasted: Counter::disconnected(),
-            bytes_out: Counter::disconnected(),
-            bytes_wasted: Counter::disconnected(),
-            speculation_mismatches: Counter::disconnected(),
-            prefetch_issued_speculative: Counter::disconnected(),
-            prefetch_issued_index: Counter::disconnected(),
-            prefetch_hits: Counter::disconnected(),
-            verify_member: Counter::disconnected(),
-            verify_index_verified: Counter::disconnected(),
-            verify_index_unverified: Counter::disconnected(),
-            stage_decode_two_stage: Histogram::disconnected(),
-            stage_decode_one_stage: Histogram::disconnected(),
-            stage_marker_replace: Histogram::disconnected(),
-            stage_crc_fold: Histogram::disconnected(),
-            stage_prefetch_decode: Histogram::disconnected(),
-            stage_random_access: Histogram::disconnected(),
-        }
-    }
-
     /// Register (or re-resolve) every reader family on `registry`.
     pub fn register(registry: &Arc<MetricsRegistry>) -> Self {
         let stage = |name: &str| {
@@ -153,11 +129,12 @@ impl ReaderMetrics {
 impl ReaderStatistics {
     /// Rebuild the reader-owned counters from a registry snapshot.
     ///
-    /// The inverse of the instrumentation: every field is read back from the
-    /// series the reader increments, so for a quiescent reader this equals
+    /// This is how
     /// [`ParallelGzipReader::statistics`](crate::ParallelGzipReader::statistics)
-    /// exactly (the reconciliation tests pin this).  Pool gauges are sampled
-    /// live and may lag while tasks are still in flight.
+    /// is computed, so every field reads back the one series the reader
+    /// increments for that event.  The pool fields come from whichever
+    /// registry the pool records into; `statistics()` overwrites them with
+    /// the pool's own live figures.
     pub fn from_metrics_snapshot(snapshot: &MetricsSnapshot) -> Self {
         let counter =
             |name: &str, labels: &[(&str, &str)]| snapshot.counter(name, labels).unwrap_or(0);

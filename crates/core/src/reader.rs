@@ -43,8 +43,10 @@ pub struct ParallelGzipReaderOptions {
     /// a single atomic load.
     pub trace: Option<Arc<TraceSink>>,
     /// Metrics registry every pipeline layer registers its series on.  `None`
-    /// (the default) leaves all handles disconnected: each record call is a
-    /// single relaxed load of a never-enabled gate, mirroring the trace sink.
+    /// (the default) gives the reader a registry of its own, which holds the
+    /// reader's event counters behind [`ParallelGzipReader::statistics`]; the
+    /// input, window-store and pool layers then record nothing (each record
+    /// call is a single relaxed load of a never-enabled gate).
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -93,6 +95,10 @@ impl ParallelGzipReaderOptions {
 
     /// Attaches a metrics registry; every pipeline layer registers and
     /// updates its counters, gauges and latency histograms on it.
+    ///
+    /// The reader's own event counters live there too, so
+    /// [`ParallelGzipReader::statistics`] reads this registry: readers that
+    /// share one registry share counts, and a disabled registry reads zero.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -199,7 +205,6 @@ struct ReaderState {
     /// Chunk index the last index-aligned prefetch ran for; consecutive
     /// reads inside one chunk skip the whole prefetch pipeline.
     last_prefetch_chunk: Option<usize>,
-    statistics: ReaderStatistics,
 }
 
 /// Parallel decompression of and random access to a gzip file.
@@ -210,8 +215,8 @@ pub struct ParallelGzipReader {
     options: ParallelGzipReaderOptions,
     pool: Arc<ThreadPool>,
     trace: Arc<TraceSink>,
-    /// Pre-resolved registry handles; disconnected when no registry was
-    /// attached, so the hot paths stay unconditional.
+    /// Pre-resolved handles on the reader's registry (the caller's, else a
+    /// reader-owned one): the only count of each reader event.
     metrics: Arc<ReaderMetrics>,
     state: Mutex<ReaderState>,
     /// Stream-ordered CRC fold; shared with the worker threads, which submit
@@ -241,30 +246,36 @@ impl ParallelGzipReader {
             .trace
             .clone()
             .unwrap_or_else(TraceSink::shared_disabled);
-        let metrics = match options.metrics.as_ref() {
-            Some(registry) => Arc::new(ReaderMetrics::register(registry)),
-            None => Arc::new(ReaderMetrics::disconnected()),
-        };
+        // The reader always counts its events, into the caller's registry
+        // or else one of its own; `statistics()` is a view of those counters.
+        let metrics = Arc::new(ReaderMetrics::register(
+            &options
+                .metrics
+                .clone()
+                .unwrap_or_else(|| Arc::new(MetricsRegistry::new_enabled())),
+        ));
         // Instrument the compressed input (read syscalls, bytes, latency)
         // only when a registry is attached; the wrapper adds one virtual
         // call per read otherwise.
-        let reader = if options.metrics.is_some() {
-            reader.instrumented(Arc::clone(&metrics.registry))
-        } else {
-            reader
+        let reader = match &options.metrics {
+            Some(registry) => reader.instrumented(Arc::clone(registry)),
+            None => reader,
         };
         let pool = Arc::new(ThreadPool::new_observed(
             parallelization,
             trace.clone(),
-            Arc::clone(&metrics.registry),
+            options
+                .metrics
+                .clone()
+                .unwrap_or_else(MetricsRegistry::shared_disabled),
         ));
         let mut index = GzipIndex::new();
         index.compressed_size = reader.size();
         // Seek-point windows compress on the shared pool as they are stored.
         index.window_map.set_pool(pool.clone());
         index.window_map.set_trace(trace.clone());
-        if options.metrics.is_some() {
-            index.window_map.set_metrics(&metrics.registry);
+        if let Some(registry) = &options.metrics {
+            index.window_map.set_metrics(registry);
         }
         let mut verifier = StreamVerifier::new(options.verification);
         verifier.set_member_verified_counter(metrics.verify_member.clone());
@@ -291,7 +302,6 @@ impl ParallelGzipReader {
                 index_plan: None,
                 index_prefetched: std::collections::HashSet::new(),
                 last_prefetch_chunk: None,
-                statistics: ReaderStatistics::default(),
             }),
             reader,
             options,
@@ -332,8 +342,8 @@ impl ParallelGzipReader {
             state.index = index;
             state.index.window_map.set_pool(this.pool.clone());
             state.index.window_map.set_trace(this.trace.clone());
-            if this.options.metrics.is_some() {
-                state.index.window_map.set_metrics(&this.metrics.registry);
+            if let Some(registry) = &this.options.metrics {
+                state.index.window_map.set_metrics(registry);
             }
             if state.index.uncompressed_size == 0 {
                 state.index.uncompressed_size = state.index.effective_uncompressed_size();
@@ -360,10 +370,15 @@ impl ParallelGzipReader {
         &self.trace
     }
 
-    /// Behaviour counters.  The `pool_*` fields are sampled live from the
-    /// worker pool at call time.
+    /// Behaviour counters, read from the reader's registry (see
+    /// [`ParallelGzipReader::metrics`]) through
+    /// [`ReaderStatistics::from_metrics_snapshot`].  Readers that share one
+    /// registry therefore share counts, and a disabled registry passed to
+    /// [`ParallelGzipReaderOptions::with_metrics`] reads zero.  The `pool_*`
+    /// fields are sampled live from the worker pool at call time.
     pub fn statistics(&self) -> ReaderStatistics {
-        let mut statistics = self.state.lock().statistics;
+        let mut statistics =
+            ReaderStatistics::from_metrics_snapshot(&self.metrics.registry.snapshot());
         let pool = self.pool.statistics();
         statistics.pool_queue_depth = pool.queue_depth;
         statistics.pool_tasks_inflight = pool.tasks_inflight;
@@ -371,8 +386,9 @@ impl ParallelGzipReader {
         statistics
     }
 
-    /// The metrics registry this reader records into (the process-wide
-    /// disabled registry unless one was attached via the options).
+    /// The metrics registry this reader counts its events in: the one
+    /// attached via [`ParallelGzipReaderOptions::with_metrics`], else a
+    /// reader-owned enabled registry that holds only the reader's series.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics.registry
     }
@@ -390,7 +406,8 @@ impl ParallelGzipReader {
     /// and foreign imports carry no fragments).
     pub fn verification_statistics(&self) -> VerificationStatistics {
         let mut statistics = self.verifier.lock().statistics();
-        let reader_statistics = self.state.lock().statistics;
+        let reader_statistics =
+            ReaderStatistics::from_metrics_snapshot(&self.metrics.registry.snapshot());
         statistics.index_chunks_verified = reader_statistics.index_chunks_verified;
         statistics.index_chunks_unverified = reader_statistics.index_chunks_unverified;
         statistics
@@ -632,18 +649,12 @@ impl ParallelGzipReader {
                         ..EventMeta::default()
                     },
                 );
-                self.state.lock().statistics.speculative_chunks_used += 1;
                 self.metrics.chunks_speculative.inc();
                 self.metrics.bytes_out.add(chunk_length);
             }
             other => {
                 if let Some(wasted) = other {
                     let wasted_bytes = wasted.symbols.len() as u64;
-                    let mut state = self.state.lock();
-                    state.statistics.speculative_mismatches += 1;
-                    state.statistics.speculative_chunks_wasted += 1;
-                    state.statistics.speculative_bytes_wasted += wasted_bytes;
-                    drop(state);
                     self.metrics.speculation_mismatches.inc();
                     self.metrics.chunks_wasted.inc();
                     self.metrics.bytes_wasted.add(wasted_bytes);
@@ -722,7 +733,6 @@ impl ParallelGzipReader {
                 next_window.extend_from_slice(&result.data[tail_start..]);
                 window_for_next = Arc::new(next_window);
                 data_handle = ChunkData::Ready(Arc::new(result.data));
-                self.state.lock().statistics.on_demand_chunks += 1;
                 self.metrics.chunks_on_demand.inc();
                 self.metrics.bytes_out.add(chunk_length);
             }
@@ -761,8 +771,6 @@ impl ParallelGzipReader {
         for found in stale {
             if let Some(chunk) = state.speculative_ready.remove(&found) {
                 let bytes = chunk.symbols.len() as u64;
-                state.statistics.speculative_chunks_wasted += 1;
-                state.statistics.speculative_bytes_wasted += bytes;
                 wasted_events.push((found, bytes));
             }
         }
@@ -781,8 +789,6 @@ impl ParallelGzipReader {
                 if let Some(handle) = state.speculative_pending.remove(&index) {
                     if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
                         let bytes = chunk.symbols.len() as u64;
-                        state.statistics.speculative_chunks_wasted += 1;
-                        state.statistics.speculative_bytes_wasted += bytes;
                         wasted_events.push((chunk.found_bit_offset, bytes));
                     }
                 }
@@ -873,7 +879,6 @@ impl ParallelGzipReader {
                 continue;
             }
             state.speculative_issued.insert(guess);
-            state.statistics.prefetches_issued += 1;
             self.metrics.prefetch_issued_speculative.inc();
             self.trace.instant(
                 instants::SPEC_SUBMIT,
@@ -1078,7 +1083,6 @@ impl ParallelGzipReader {
             let mut state = self.state.lock();
             state.chunk_data.insert(key, ChunkData::Pending(handle));
             state.index_prefetched.insert(key);
-            state.statistics.index_prefetches_issued += 1;
             self.metrics.prefetch_issued_index.inc();
         }
     }
@@ -1088,15 +1092,13 @@ impl ParallelGzipReader {
     /// Records whether a consumed fast-path chunk was checked against stored
     /// CRC fragments.  Prefetched chunks with fragments verify inside their
     /// task; on-demand decodes verify in [`ParallelGzipReader::chunk_bytes`].
-    fn count_fast_path_verification(&self, state: &mut ReaderState, key: u64) {
+    fn count_fast_path_verification(&self, state: &ReaderState, key: u64) {
         if self.options.verification != VerificationMode::Full {
             return;
         }
         if state.index.checksum_map.contains(key) {
-            state.statistics.index_chunks_verified += 1;
             self.metrics.verify_index_verified.inc();
         } else {
-            state.statistics.index_chunks_unverified += 1;
             self.metrics.verify_index_unverified.inc();
         }
     }
@@ -1118,9 +1120,7 @@ impl ParallelGzipReader {
             match state.chunk_data.remove(&key) {
                 Some(ChunkData::Ready(data)) => {
                     if prefetched {
-                        state.statistics.index_prefetch_hits += 1;
-                        state.statistics.index_chunks += 1;
-                        self.count_fast_path_verification(&mut state, key);
+                        self.count_fast_path_verification(&state, key);
                         self.metrics.prefetch_hits.inc();
                         self.metrics.chunks_index.inc();
                         self.metrics.bytes_out.add(data.len() as u64);
@@ -1137,9 +1137,7 @@ impl ParallelGzipReader {
                 }
                 Some(ChunkData::Pending(handle)) => {
                     if prefetched {
-                        state.statistics.index_prefetch_hits += 1;
-                        state.statistics.index_chunks += 1;
-                        self.count_fast_path_verification(&mut state, key);
+                        self.count_fast_path_verification(&state, key);
                         self.metrics.prefetch_hits.inc();
                         self.metrics.chunks_index.inc();
                         self.trace.instant(
@@ -1242,8 +1240,7 @@ impl ParallelGzipReader {
         span.finish();
         let data = Arc::new(result.data);
         let mut state = self.state.lock();
-        state.statistics.index_chunks += 1;
-        self.count_fast_path_verification(&mut state, key);
+        self.count_fast_path_verification(&state, key);
         self.metrics.chunks_index.inc();
         self.metrics.bytes_out.add(data.len() as u64);
         state.resolved_cache.insert(key, data.clone());
@@ -1349,6 +1346,23 @@ mod tests {
         }
     }
 
+    /// Counts the `name` instants recorded in `trace` and sums their `bytes`.
+    fn instant_totals(trace: &TraceSink, name: &str) -> (u64, u64) {
+        let mut totals = (0, 0);
+        for track in trace.snapshot() {
+            for event in &track.events {
+                let rgz_trace::EventKind::Instant { name: seen, .. } = event.kind else {
+                    continue;
+                };
+                if seen == name {
+                    totals.0 += 1;
+                    totals.1 += event.meta.bytes.unwrap_or(0);
+                }
+            }
+        }
+        totals
+    }
+
     fn parallel_roundtrip(compressed: &[u8], chunk_size: usize) -> Vec<u8> {
         let mut reader =
             ParallelGzipReader::from_bytes(compressed.to_vec(), options(4, chunk_size)).unwrap();
@@ -1385,6 +1399,19 @@ mod tests {
             "parallel pipeline unused: {statistics:?}"
         );
         assert!(statistics.prefetches_issued > 0);
+        // Without `with_metrics` the counters live in a reader-owned
+        // registry, and `statistics()` is exactly its snapshot (the pool
+        // fields are sampled from the pool itself).
+        let snapshot = reader.metrics().snapshot();
+        assert_eq!(
+            ReaderStatistics {
+                pool_queue_depth: statistics.pool_queue_depth,
+                pool_tasks_inflight: statistics.pool_tasks_inflight,
+                pool_tasks_submitted: statistics.pool_tasks_submitted,
+                ..ReaderStatistics::from_metrics_snapshot(&snapshot)
+            },
+            statistics
+        );
     }
 
     #[test]
@@ -1846,23 +1873,24 @@ mod tests {
             );
         }
 
-        // The aggregated report must reconcile with the reader's own
-        // statistics: both count the same commit/waste events.
-        let report = MetricsReport::from_sink(&trace);
-        assert!(report.wall_us > 0);
+        assert!(MetricsReport::from_sink(&trace).wall_us > 0);
+
+        // The timeline's instants mark the very events the counters count.
         assert_eq!(
-            report.speculation.committed_chunks,
+            instant_totals(&trace, instants::SPEC_SUBMIT).0,
+            statistics.prefetches_issued
+        );
+        assert_eq!(
+            instant_totals(&trace, instants::SPEC_COMMIT).0,
             statistics.speculative_chunks_used
         );
         assert_eq!(
-            report.speculation.wasted_chunks,
-            statistics.speculative_chunks_wasted
+            instant_totals(&trace, instants::SPEC_WASTE),
+            (
+                statistics.speculative_chunks_wasted,
+                statistics.speculative_bytes_wasted
+            )
         );
-        assert_eq!(
-            report.speculation.wasted_bytes,
-            statistics.speculative_bytes_wasted
-        );
-        assert!(report.speculation.submitted >= report.speculation.committed_chunks);
 
         // A disabled sink built the exact same way records nothing.
         let data = fastq_records(2_000, 70);
@@ -1922,8 +1950,6 @@ mod tests {
 
     #[test]
     fn stale_and_mismatched_speculation_is_counted_as_waste() {
-        use rgz_trace::MetricsReport;
-
         let data = base64_random(600_000, 72);
         let compressed = GzipWriter::default().compress(&data);
         let trace = Arc::new(TraceSink::new_enabled());
@@ -1959,15 +1985,12 @@ mod tests {
         assert!(statistics.speculative_chunks_wasted >= 2, "{statistics:?}");
         assert!(statistics.speculative_bytes_wasted >= 200, "{statistics:?}");
         assert!(statistics.speculative_mismatches >= 1, "{statistics:?}");
-        let report = MetricsReport::from_sink(&trace);
         assert_eq!(
-            report.speculation.wasted_chunks,
-            statistics.speculative_chunks_wasted
+            instant_totals(&trace, instants::SPEC_WASTE),
+            (
+                statistics.speculative_chunks_wasted,
+                statistics.speculative_bytes_wasted
+            )
         );
-        assert_eq!(
-            report.speculation.wasted_bytes,
-            statistics.speculative_bytes_wasted
-        );
-        assert!(report.speculation.waste_ratio() > 0.0);
     }
 }

@@ -3,10 +3,10 @@
 //! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles.
 //! * [`Cache`] — a keyed cache parameterised by a [`CacheStrategy`]
 //!   (eviction policy); [`LeastRecentlyUsed`] is the default.
-//! * [`FetchingStrategy`] — decides which chunk indexes to prefetch based on
-//!   the recent access history (`FetchNextFixed`, `FetchNextAdaptive`,
-//!   `FetchNextMultiStream`).
-//! * [`IndexAlignedPlan`] — the prefetch plan for reads through an index.
+//! * [`FetchNextAdaptive`] — decides which chunk indexes to prefetch based
+//!   on the recent access history.
+//! * [`IndexAlignedPlan`] — the prefetch plan for reads through an index,
+//!   driven by [`FetchNextAdaptive`].
 //!
 //! The parallel reader (`rgz_core`) schedules its own work on top of these
 //! pieces: the pool and caches serve every read, and [`IndexAlignedPlan`]
@@ -19,5 +19,5 @@ pub mod thread_pool;
 
 pub use cache::{Cache, CacheStatistics, CacheStrategy, LeastRecentlyUsed};
 pub use plan::IndexAlignedPlan;
-pub use strategy::{FetchNextAdaptive, FetchNextFixed, FetchNextMultiStream, FetchingStrategy};
+pub use strategy::FetchNextAdaptive;
 pub use thread_pool::{PoolStatistics, TaskHandle, ThreadPool};

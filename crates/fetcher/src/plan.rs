@@ -9,13 +9,13 @@
 //! each prefetched unit is exactly one seek-point span, never a misaligned
 //! guess.
 //!
-//! [`IndexAlignedPlan`] wraps any [`FetchingStrategy`] and translates
-//! between uncompressed byte offsets (what the reader serves) and chunk
-//! indexes (what strategies reason about).  The strategy sees one access per
-//! chunk, its prefetch answer is clipped to the table, and every returned
-//! index maps back to an exact seek point.
+//! [`IndexAlignedPlan`] wraps a [`FetchNextAdaptive`] strategy and
+//! translates between uncompressed byte offsets (what the reader serves) and
+//! chunk indexes (what the strategy reasons about).  The strategy sees one
+//! access per chunk, its prefetch answer is clipped to the table, and every
+//! returned index maps back to an exact seek point.
 
-use crate::strategy::{FetchNextAdaptive, FetchingStrategy};
+use crate::strategy::FetchNextAdaptive;
 
 /// A prefetch plan aligned to the real chunk boundaries of a seek-point
 /// table.
@@ -24,7 +24,7 @@ pub struct IndexAlignedPlan {
     boundaries: Vec<u64>,
     /// End of the last chunk (total uncompressed size).
     end: u64,
-    strategy: Box<dyn FetchingStrategy>,
+    strategy: FetchNextAdaptive,
 }
 
 impl std::fmt::Debug for IndexAlignedPlan {
@@ -37,23 +37,13 @@ impl std::fmt::Debug for IndexAlignedPlan {
 }
 
 impl IndexAlignedPlan {
-    /// Creates a plan over ascending uncompressed chunk-start offsets, with
-    /// the default adaptive strategy.
+    /// Creates a plan over ascending uncompressed chunk-start offsets.
     pub fn new(boundaries: Vec<u64>, end: u64) -> Self {
-        Self::with_strategy(boundaries, end, Box::new(FetchNextAdaptive::default()))
-    }
-
-    /// Creates a plan with an explicit strategy.
-    pub fn with_strategy(
-        boundaries: Vec<u64>,
-        end: u64,
-        strategy: Box<dyn FetchingStrategy>,
-    ) -> Self {
         debug_assert!(boundaries.windows(2).all(|pair| pair[0] <= pair[1]));
         Self {
             boundaries,
             end,
-            strategy,
+            strategy: FetchNextAdaptive::default(),
         }
     }
 

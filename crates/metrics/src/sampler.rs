@@ -211,9 +211,27 @@ mod tests {
     #[test]
     fn ring_is_bounded() {
         let registry = Arc::new(MetricsRegistry::new_enabled());
-        let sampler = Sampler::start(registry, Duration::from_millis(10), 2);
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(sampler.samples().len() <= 2);
+        let ticks = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let ticks_in_observer = Arc::clone(&ticks);
+        let sampler = Sampler::start_with_observer(
+            registry,
+            Duration::from_millis(10),
+            2,
+            Some(Box::new(move |_| {
+                ticks_in_observer.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })),
+        );
+        // Wait for enough ticks to overflow the ring several times over, so
+        // the bound is exercised rather than met vacuously.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ticks.load(std::sync::atomic::Ordering::Relaxed) < 5 {
+            assert!(
+                Instant::now() < deadline,
+                "sampler thread never ticked 5 times"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(sampler.samples().len(), 2);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! stages write timestamped spans, instant events, and counters into, plus
 //! exporters for Chrome trace-event JSON ([`chrome_trace_json`], loadable in
 //! Perfetto / `chrome://tracing`) and an aggregated [`MetricsReport`]
-//! (per-stage latency percentiles, thread utilization, speculation waste,
-//! prefetch hit rate).
+//! (per-stage latency percentiles and thread utilization).
 //!
 //! # Design
 //!
@@ -48,9 +47,7 @@ mod chrome;
 mod metrics;
 
 pub use chrome::chrome_trace_json;
-pub use metrics::{
-    instants, MetricsReport, PrefetchSummary, SpeculationSummary, StageSummary, ThreadSummary,
-};
+pub use metrics::{instants, MetricsReport, StageSummary, ThreadSummary};
 
 use parking_lot::Mutex;
 use std::cell::RefCell;

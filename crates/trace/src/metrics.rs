@@ -1,20 +1,21 @@
 //! Aggregated metrics derived from a recorded trace.
 //!
-//! [`MetricsReport::from_sink`] folds every recorded event into per-stage
-//! wall-time histograms (p50/p95/p99), per-thread utilization, a speculation
-//! waste summary, and a prefetch hit-rate summary.  The report renders three
-//! ways: human-readable text (`--verbose` / `--metrics`), a JSON object
-//! (`--metrics=json`), and a flat `String -> f64` map that `rgz_bench`
-//! embeds in its `--json` reports so `perf_compare` can gate on stage-level
-//! numbers.
+//! [`MetricsReport::from_sink`] folds every recorded event into what only the
+//! trace knows: per-stage wall-time histograms (p50/p95/p99) and per-thread
+//! utilization.  Event counts (chunks committed or wasted, prefetch hits)
+//! are not re-counted here; they live in the reader's metrics registry.
+//! The report renders three ways: human-readable text (`--trace-report`), a
+//! JSON object (`--trace-report=json`), and a flat `String -> f64` map that
+//! `rgz_bench` embeds in its `--json` reports so `perf_compare` can gate on
+//! stage-level numbers.
 
 use crate::{escape_json, EventKind, Outcome, Stage, TraceSink};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Instant-event names with agreed-upon semantics. Emitted by `rgz_core`,
-/// consumed here; kept public so instrumentation sites and tests share one
-/// spelling.
+/// Instant-event names with agreed-upon semantics, emitted by `rgz_core` as
+/// timeline markers; kept public so instrumentation sites and tests share
+/// one spelling.
 pub mod instants {
     /// A speculative decode task was submitted to the pool.
     pub const SPEC_SUBMIT: &str = "spec_submit";
@@ -72,58 +73,6 @@ pub struct ThreadSummary {
     pub utilization_pct: f64,
 }
 
-/// Speculative-decode accounting, from `spec_commit` / `spec_waste` instants.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpeculationSummary {
-    /// Speculative decode tasks submitted to the pool.
-    pub submitted: u64,
-    /// Speculative chunks whose output was committed.
-    pub committed_chunks: u64,
-    /// Uncompressed bytes committed from speculative decodes.
-    pub committed_bytes: u64,
-    /// Speculative chunks decoded but discarded.
-    pub wasted_chunks: u64,
-    /// Uncompressed bytes decoded in vain.
-    pub wasted_bytes: u64,
-}
-
-impl SpeculationSummary {
-    /// Fraction of speculatively decoded bytes that were thrown away.
-    pub fn waste_ratio(&self) -> f64 {
-        let total = self.committed_bytes + self.wasted_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.wasted_bytes as f64 / total as f64
-        }
-    }
-}
-
-/// Index-aligned prefetch accounting, from `prefetch_*` instants.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PrefetchSummary {
-    /// Prefetch decode tasks issued.
-    pub issued: u64,
-    /// Random-access reads served from a prefetched chunk.
-    pub hits: u64,
-    /// Random-access reads that had to decode on demand.
-    pub misses: u64,
-    /// Prefetched chunks evicted unread.
-    pub evictions: u64,
-}
-
-impl PrefetchSummary {
-    /// Fraction of random-access reads served from prefetched chunks.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Everything [`MetricsReport::from_sink`] aggregates out of a trace.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsReport {
@@ -133,10 +82,6 @@ pub struct MetricsReport {
     pub threads: Vec<ThreadSummary>,
     /// Per-stage summaries, only for stages that recorded at least one span.
     pub stages: BTreeMap<&'static str, StageSummary>,
-    /// Speculation accounting.
-    pub speculation: SpeculationSummary,
-    /// Prefetch accounting.
-    pub prefetch: PrefetchSummary,
     /// Final value of every named counter (samples are monotonic).
     pub counters: BTreeMap<&'static str, u64>,
 }
@@ -180,26 +125,9 @@ impl MetricsReport {
                             intervals.push((start_us, end));
                         }
                     }
-                    EventKind::Instant { name, at_us } => {
+                    EventKind::Instant { at_us, .. } => {
                         trace_start = trace_start.min(at_us);
                         trace_end = trace_end.max(at_us);
-                        let bytes = event.meta.bytes.unwrap_or(0);
-                        match name {
-                            instants::SPEC_SUBMIT => report.speculation.submitted += 1,
-                            instants::SPEC_COMMIT => {
-                                report.speculation.committed_chunks += 1;
-                                report.speculation.committed_bytes += bytes;
-                            }
-                            instants::SPEC_WASTE => {
-                                report.speculation.wasted_chunks += 1;
-                                report.speculation.wasted_bytes += bytes;
-                            }
-                            instants::PREFETCH_ISSUE => report.prefetch.issued += 1,
-                            instants::PREFETCH_HIT => report.prefetch.hits += 1,
-                            instants::PREFETCH_MISS => report.prefetch.misses += 1,
-                            instants::PREFETCH_EVICT => report.prefetch.evictions += 1,
-                            _ => {}
-                        }
                     }
                     EventKind::Counter { name, at_us, value } => {
                         trace_start = trace_start.min(at_us);
@@ -289,25 +217,6 @@ impl MetricsReport {
                 thread.utilization_pct
             );
         }
-        let _ = writeln!(
-            out,
-            "  speculation: {} submitted, {} committed ({} B), {} wasted ({} B), waste ratio {:.1}%",
-            self.speculation.submitted,
-            self.speculation.committed_chunks,
-            self.speculation.committed_bytes,
-            self.speculation.wasted_chunks,
-            self.speculation.wasted_bytes,
-            100.0 * self.speculation.waste_ratio()
-        );
-        let _ = writeln!(
-            out,
-            "  prefetch: {} issued, {} hits, {} misses, {} evicted, hit rate {:.1}%",
-            self.prefetch.issued,
-            self.prefetch.hits,
-            self.prefetch.misses,
-            self.prefetch.evictions,
-            100.0 * self.prefetch.hit_rate()
-        );
         out
     }
 
@@ -350,29 +259,7 @@ impl MetricsReport {
                 stage.errors
             );
         }
-        let _ = write!(
-            out,
-            "}},\"speculation\":{{\"submitted\":{},\"committed_chunks\":{},\
-             \"committed_bytes\":{},\"wasted_chunks\":{},\"wasted_bytes\":{},\
-             \"waste_ratio\":{}}}",
-            self.speculation.submitted,
-            self.speculation.committed_chunks,
-            self.speculation.committed_bytes,
-            self.speculation.wasted_chunks,
-            self.speculation.wasted_bytes,
-            format_f64(self.speculation.waste_ratio())
-        );
-        let _ = write!(
-            out,
-            ",\"prefetch\":{{\"issued\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"hit_rate\":{}}}",
-            self.prefetch.issued,
-            self.prefetch.hits,
-            self.prefetch.misses,
-            self.prefetch.evictions,
-            format_f64(self.prefetch.hit_rate())
-        );
-        out.push_str(",\"counters\":{");
+        out.push_str("},\"counters\":{");
         for (index, (name, value)) in self.counters.iter().enumerate() {
             if index > 0 {
                 out.push(',');
@@ -385,8 +272,7 @@ impl MetricsReport {
 
     /// Flattens the report into bench-style `name -> f64` metrics
     /// (`<stage>_count`, `<stage>_total_us`, `<stage>_p95_us`, plus
-    /// `wall_us`, `utilization_pct`, `speculation_waste_ratio`,
-    /// `prefetch_hit_rate`).
+    /// `wall_us` and `utilization_pct`).
     pub fn flat_metrics(&self) -> BTreeMap<String, f64> {
         let mut metrics = BTreeMap::new();
         metrics.insert("wall_us".to_owned(), self.wall_us as f64);
@@ -405,11 +291,6 @@ impl MetricsReport {
                 / self.threads.len() as f64
         };
         metrics.insert("utilization_pct".to_owned(), mean_utilization);
-        metrics.insert(
-            "speculation_waste_ratio".to_owned(),
-            self.speculation.waste_ratio(),
-        );
-        metrics.insert("prefetch_hit_rate".to_owned(), self.prefetch.hit_rate());
         metrics
     }
 }
@@ -488,22 +369,7 @@ mod tests {
                 span.set_outcome(Outcome::Fallback);
             }
         }
-        sink.instant(
-            instants::SPEC_COMMIT,
-            EventMeta {
-                bytes: Some(900),
-                ..EventMeta::default()
-            },
-        );
-        sink.instant(
-            instants::SPEC_WASTE,
-            EventMeta {
-                bytes: Some(100),
-                ..EventMeta::default()
-            },
-        );
-        sink.instant(instants::PREFETCH_HIT, EventMeta::default());
-        sink.instant(instants::PREFETCH_MISS, EventMeta::default());
+        sink.instant(instants::SPEC_COMMIT, EventMeta::default());
         sink.counter("resolved_cache_len", 5);
 
         let report = MetricsReport::from_sink(&sink);
@@ -511,22 +377,15 @@ mod tests {
         assert_eq!(stage.count, 4);
         assert_eq!(stage.bytes, 4000);
         assert_eq!(stage.fallback, 1);
-        assert_eq!(report.speculation.committed_bytes, 900);
-        assert_eq!(report.speculation.wasted_bytes, 100);
-        assert!((report.speculation.waste_ratio() - 0.1).abs() < 1e-9);
-        assert!((report.prefetch.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(report.counters["resolved_cache_len"], 5);
         assert_eq!(report.threads.len(), 1);
 
         let json = report.to_json();
         assert!(json.contains("\"decode_one_stage\""));
-        assert!(json.contains("\"waste_ratio\":0.100000"));
         let text = report.render_text();
         assert!(text.contains("decode_one_stage"));
-        assert!(text.contains("hit rate 50.0%"));
 
         let flat = report.flat_metrics();
         assert_eq!(flat["decode_one_stage_count"], 4.0);
-        assert!((flat["speculation_waste_ratio"] - 0.1).abs() < 1e-9);
     }
 }
