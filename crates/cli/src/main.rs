@@ -31,8 +31,9 @@
 //!                             line (chunk and prefetch counts are in -v)
 //!       --stats-interval <S>  print a live one-line progress report (input/
 //!                             output MB/s, ETA, window-cache hit rate, pool
-//!                             queue depth) to stderr every S seconds,
-//!                             computed from periodic metrics-registry samples
+//!                             queue depth) to stderr every S seconds and
+//!                             once more when decoding ends, computed from
+//!                             periodic metrics-registry samples
 //!       --metrics-export <P>  write every metric series in Prometheus text
 //!                             exposition format (0.0.4) to P at exit
 //!   -v, --verbose             print the selected SIMD kernels, reader
@@ -406,8 +407,8 @@ fn run(options: &Options) -> Result<(), String> {
         }
         decode_elapsed = decode_start.elapsed();
         total_bytes = written;
-        // Joins the sampler thread so no progress line interleaves with the
-        // summary output below.
+        // Prints the closing progress line and joins the sampler thread, so
+        // no progress line interleaves with the summary output below.
         drop(sampler);
 
         if let Some(path) = &options.export_index {

@@ -86,8 +86,6 @@ fn verbose_count(stderr: &str, suffix: &str) -> u64 {
 #[test]
 fn stats_interval_and_export_reconcile_with_verbose_statistics() {
     let dir = TempDir::new("reconcile");
-    // Large enough that decoding outlives several 10 ms sampler ticks even on
-    // a fast machine, so at least one progress line is guaranteed.
     let data = rgz_datagen::fastq_of_size(4_000_000, 90);
     let compressed = rgz_gzip::GzipWriter::default().compress(&data);
     let gz = dir.file("corpus.gz");

@@ -22,6 +22,7 @@ use rgz_blockfinder::{BlockFinder, CombinedBlockFinder};
 use rgz_deflate::{inflate, inflate_hashed, inflate_two_stage, DeflateError, StopReason};
 use rgz_gzip::{parse_footer, parse_header, GzipError, GzipFooter};
 use rgz_io::{FileReader, SharedFileReader};
+use rgz_metrics::Histogram;
 use rgz_trace::{Outcome, Stage, TraceSink};
 
 use crate::verify::ChunkFragment;
@@ -266,27 +267,16 @@ fn decode_direct_in_range(
 /// `guess_index * chunk_size` bytes, using the block finder and two-stage
 /// decoding.  Returns `Ok(None)` if no DEFLATE block could be found inside
 /// the guessed chunk range.
-#[cfg_attr(not(test), allow(dead_code))]
+///
+/// Block-find and two-stage decode spans go to `trace` (chunk id = the
+/// guessed bit offset); every two-stage decode attempt, false positives
+/// included, is also observed on `decode_seconds`.
 pub fn decode_speculative_chunk(
     reader: &SharedFileReader,
     chunk_size: usize,
     guess_index: usize,
-) -> Result<Option<SpeculativeChunk>, CoreError> {
-    decode_speculative_chunk_traced(
-        reader,
-        chunk_size,
-        guess_index,
-        &TraceSink::shared_disabled(),
-    )
-}
-
-/// [`decode_speculative_chunk`] with block-find and two-stage decode spans
-/// recorded into `trace` (chunk id = the guessed bit offset).
-pub fn decode_speculative_chunk_traced(
-    reader: &SharedFileReader,
-    chunk_size: usize,
-    guess_index: usize,
     trace: &TraceSink,
+    decode_seconds: &Histogram,
 ) -> Result<Option<SpeculativeChunk>, CoreError> {
     let file_size = reader.size();
     let guess_byte = (guess_index as u64) * chunk_size as u64;
@@ -302,7 +292,14 @@ pub fn decode_speculative_chunk_traced(
         let range = read_compressed_range(reader, guess_byte, range_end - guess_byte)?;
         let range_covers_file_end = guess_byte + range.len() as u64 >= file_size;
 
-        match decode_speculative_in_range(&range, guess_byte, guess_bit, stop_bit, trace) {
+        match decode_speculative_in_range(
+            &range,
+            guess_byte,
+            guess_bit,
+            stop_bit,
+            trace,
+            decode_seconds,
+        ) {
             SpeculativeOutcome::Found(chunk) => return Ok(Some(chunk)),
             SpeculativeOutcome::NoBlock => return Ok(None),
             SpeculativeOutcome::NeedMoreData if !range_covers_file_end => {
@@ -325,6 +322,7 @@ fn decode_speculative_in_range(
     guess_bit: u64,
     stop_bit: u64,
     trace: &TraceSink,
+    decode_seconds: &Histogram,
 ) -> SpeculativeOutcome {
     let range_start_bits = range_start_byte * 8;
     let relative_guess = guess_bit - range_start_bits;
@@ -352,7 +350,8 @@ fn decode_speculative_in_range(
             .compressed_range(
                 range_start_byte + candidate / 8,
                 range_start_byte + range.len() as u64,
-            );
+            )
+            .observe(decode_seconds);
         match try_speculative_decode(range, candidate, relative_stop) {
             Ok((symbols, end_position, block_count, reached_end_of_file, member_ends)) => {
                 span.set_bytes(symbols.len() as u64);
@@ -434,6 +433,21 @@ mod tests {
     use super::*;
     use rgz_deflate::replace_markers;
     use rgz_gzip::GzipWriter;
+
+    /// Speculative decode with tracing and timing switched off.
+    fn speculate(
+        reader: &SharedFileReader,
+        chunk_size: usize,
+        guess_index: usize,
+    ) -> Result<Option<SpeculativeChunk>, CoreError> {
+        decode_speculative_chunk(
+            reader,
+            chunk_size,
+            guess_index,
+            &TraceSink::shared_disabled(),
+            &Histogram::disconnected(),
+        )
+    }
 
     fn corpus(records: usize) -> Vec<u8> {
         let mut data = Vec::new();
@@ -529,7 +543,7 @@ mod tests {
         assert_eq!(chunk0.fragments[0].crc32, rgz_checksum::crc32(&chunk0.data));
 
         // Speculatively decode guess index 1 and verify it lines up.
-        let speculative = decode_speculative_chunk(&shared, chunk_size, 1)
+        let speculative = speculate(&shared, chunk_size, 1)
             .unwrap()
             .expect("a block must be found in chunk 1");
         assert_eq!(speculative.requested_bit_offset, (chunk_size as u64) * 8);
@@ -568,7 +582,7 @@ mod tests {
 
         let mut recorded = Vec::new();
         for guess in 1..compressed.len().div_ceil(chunk_size) {
-            if let Some(chunk) = decode_speculative_chunk(&shared, chunk_size, guess).unwrap() {
+            if let Some(chunk) = speculate(&shared, chunk_size, guess).unwrap() {
                 recorded.extend(chunk.member_ends);
             }
         }
@@ -585,9 +599,7 @@ mod tests {
     fn speculative_chunk_beyond_the_file_is_none() {
         let compressed = GzipWriter::default().compress(&corpus(100));
         let shared = SharedFileReader::from_bytes(compressed);
-        assert!(decode_speculative_chunk(&shared, 1 << 20, 5)
-            .unwrap()
-            .is_none());
+        assert!(speculate(&shared, 1 << 20, 5).unwrap().is_none());
     }
 
     #[test]
@@ -601,7 +613,7 @@ mod tests {
         let chunk_size = 32 * 1024;
         let shared = SharedFileReader::from_bytes(compressed.clone());
         assert!((compressed.len() / chunk_size) > 2);
-        let speculative = decode_speculative_chunk(&shared, chunk_size, 1).unwrap();
+        let speculative = speculate(&shared, chunk_size, 1).unwrap();
         assert!(
             speculative.is_none(),
             "single-block files cannot provide speculative chunks"

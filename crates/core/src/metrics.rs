@@ -21,6 +21,8 @@ use crate::reader::ReaderStatistics;
 
 /// Latency buckets shared by every `rgz_stage_seconds` series: ~100 µs up to
 /// ~26 s, factor-4 spacing.  All series of one family must share bounds.
+/// Each series is fed by the span guard of its stage
+/// (`SpanGuard::observe`), so it counts exactly that stage's spans.
 fn stage_buckets() -> Vec<f64> {
     exponential_buckets(0.000_1, 4.0, 10)
 }

@@ -11,9 +11,9 @@ use rgz_fetcher::{Cache, IndexAlignedPlan, TaskHandle, ThreadPool};
 use rgz_index::{GzipIndex, PointChecksums, SeekPoint, WINDOW_SIZE};
 use rgz_io::{FileReader, SharedFileReader};
 use rgz_metrics::MetricsRegistry;
-use rgz_trace::{instants, EventMeta, Outcome, Stage, TraceSink};
+use rgz_trace::{instants, EventMeta, Outcome, SpanGuard, Stage, TraceSink};
 
-use crate::chunk::{decode_chunk_at, decode_speculative_chunk_traced, SpeculativeChunk};
+use crate::chunk::{decode_chunk_at, decode_speculative_chunk, SpeculativeChunk};
 use crate::metrics::ReaderMetrics;
 use crate::verify::{
     check_point_fragments, ChunkFragment, StreamVerifier, VerificationMode, VerificationStatistics,
@@ -28,9 +28,6 @@ pub struct ParallelGzipReaderOptions {
     pub parallelization: usize,
     /// Compressed chunk size in bytes (the paper's default is 4 MiB).
     pub chunk_size: usize,
-    /// How many chunks ahead of the last access to prefetch.  Defaults to
-    /// twice the parallelization, matching the paper's prefetch cache sizing.
-    pub prefetch_degree: Option<usize>,
     /// Capacity of the cache of resolved chunks kept for random access.
     pub resolved_cache_chunks: usize,
     /// Whether to verify member CRC-32s and ISIZEs during the sequential
@@ -57,7 +54,6 @@ impl Default for ParallelGzipReaderOptions {
                 .map(|n| n.get())
                 .unwrap_or(4),
             chunk_size: DEFAULT_CHUNK_SIZE,
-            prefetch_degree: None,
             resolved_cache_chunks: 4,
             verification: VerificationMode::default(),
             trace: None,
@@ -102,12 +98,6 @@ impl ParallelGzipReaderOptions {
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    fn effective_prefetch_degree(&self) -> usize {
-        self.prefetch_degree
-            .unwrap_or(self.parallelization * 2)
-            .max(1)
     }
 }
 
@@ -183,11 +173,19 @@ enum ChunkData {
     Pending(TaskHandle<Result<Vec<u8>, CoreError>>),
 }
 
+/// Resolved (or resolving) bytes of one chunk, not yet consumed.
+struct ChunkEntry {
+    data: ChunkData,
+    /// Produced by an index-aligned prefetch (rather than the sequential
+    /// pass); consuming it counts as a prefetch hit.
+    prefetched: bool,
+}
+
 struct ReaderState {
     index: GzipIndex,
     pass: SequentialPass,
     /// Resolved (or resolving) chunk data keyed by compressed bit offset.
-    chunk_data: HashMap<u64, ChunkData>,
+    chunk_data: HashMap<u64, ChunkEntry>,
     /// LRU cache of chunk data for random access after the first pass.
     resolved_cache: Cache<u64, Vec<u8>>,
     /// Finished speculative chunks keyed by their *found* bit offset.
@@ -199,12 +197,27 @@ struct ReaderState {
     /// Prefetch plan aligned to the seek-point table; built lazily once the
     /// sequential pass is finished (or an index was imported).
     index_plan: Option<Arc<IndexAlignedPlan>>,
-    /// Keys in `chunk_data` that were produced by index-aligned prefetching
-    /// and have not been consumed yet.
-    index_prefetched: std::collections::HashSet<u64>,
     /// Chunk index the last index-aligned prefetch ran for; consecutive
     /// reads inside one chunk skip the whole prefetch pipeline.
     last_prefetch_chunk: Option<usize>,
+}
+
+impl ReaderState {
+    /// Removes every finished speculative task, returning the chunks they
+    /// found.
+    fn harvest_speculation(&mut self) -> Vec<SpeculativeChunk> {
+        let mut chunks = Vec::new();
+        self.speculative_pending.retain(|_, handle| {
+            if !handle.is_finished() {
+                return true;
+            }
+            if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
+                chunks.push(chunk);
+            }
+            false
+        });
+        chunks
+    }
 }
 
 /// Parallel decompression of and random access to a gzip file.
@@ -271,15 +284,9 @@ impl ParallelGzipReader {
         ));
         let mut index = GzipIndex::new();
         index.compressed_size = reader.size();
-        // Seek-point windows compress on the shared pool as they are stored.
-        index.window_map.set_pool(pool.clone());
-        index.window_map.set_trace(trace.clone());
-        if let Some(registry) = &options.metrics {
-            index.window_map.set_metrics(registry);
-        }
         let mut verifier = StreamVerifier::new(options.verification);
         verifier.set_member_verified_counter(metrics.verify_member.clone());
-        Ok(Self {
+        let this = Self {
             pool,
             trace,
             metrics,
@@ -300,13 +307,14 @@ impl ParallelGzipReader {
                 speculative_pending: HashMap::new(),
                 speculative_issued: std::collections::HashSet::new(),
                 index_plan: None,
-                index_prefetched: std::collections::HashSet::new(),
                 last_prefetch_chunk: None,
             }),
             reader,
             options,
             position: 0,
-        })
+        };
+        this.wire_window_map(&this.state.lock().index);
+        Ok(this)
     }
 
     /// Creates a reader over an in-memory compressed buffer.
@@ -334,17 +342,13 @@ impl ParallelGzipReader {
         index: GzipIndex,
     ) -> Result<Self, CoreError> {
         let this = Self::new(reader, options)?;
+        this.wire_window_map(&index);
         {
             let mut state = this.state.lock();
             let uncompressed_size = index.uncompressed_size;
             state.pass.finished = true;
             state.pass.next_uncompressed_offset = uncompressed_size;
             state.index = index;
-            state.index.window_map.set_pool(this.pool.clone());
-            state.index.window_map.set_trace(this.trace.clone());
-            if let Some(registry) = &this.options.metrics {
-                state.index.window_map.set_metrics(registry);
-            }
             if state.index.uncompressed_size == 0 {
                 state.index.uncompressed_size = state.index.effective_uncompressed_size();
                 state.pass.next_uncompressed_offset = state.index.uncompressed_size;
@@ -357,6 +361,22 @@ impl ParallelGzipReader {
             }
         }
         Ok(this)
+    }
+
+    /// Seek-point windows compress on the shared pool as they are stored,
+    /// recording into the reader's trace sink and (if attached) registry.
+    fn wire_window_map(&self, index: &GzipIndex) {
+        index.window_map.set_pool(self.pool.clone());
+        index.window_map.set_trace(self.trace.clone());
+        if let Some(registry) = &self.options.metrics {
+            index.window_map.set_metrics(registry);
+        }
+    }
+
+    /// How many chunks ahead of the last access to prefetch: twice the
+    /// parallelization, matching the paper's prefetch cache sizing.
+    fn prefetch_limit(&self) -> usize {
+        2 * self.pool.size()
     }
 
     /// The options this reader was created with.
@@ -443,16 +463,22 @@ impl ParallelGzipReader {
         let pending: Vec<u64> = state
             .chunk_data
             .iter()
-            .filter(|(_, data)| matches!(data, ChunkData::Pending(_)))
+            .filter(|(_, entry)| matches!(entry.data, ChunkData::Pending(_)))
             .map(|(&key, _)| key)
             .collect();
         for key in pending {
-            if let Some(ChunkData::Pending(handle)) = state.chunk_data.remove(&key) {
-                if let Ok(data) = handle.wait() {
-                    state
-                        .chunk_data
-                        .insert(key, ChunkData::Ready(Arc::new(data)));
-                }
+            let Some(ChunkEntry {
+                data: ChunkData::Pending(handle),
+                prefetched,
+            }) = state.chunk_data.remove(&key)
+            else {
+                continue;
+            };
+            if let Ok(data) = handle.wait() {
+                let data = ChunkData::Ready(Arc::new(data));
+                state
+                    .chunk_data
+                    .insert(key, ChunkEntry { data, prefetched });
             }
         }
         let mut index = state.index.clone();
@@ -537,7 +563,7 @@ impl ParallelGzipReader {
         // Try to reuse a speculative result for this exact offset.
         let speculative = self.take_speculative(start_bit, guess_index)?;
 
-        let (data_handle, end_bit, chunk_length, window_for_next, reached_end_of_file);
+        let (data, end_bit, chunk_length, window_for_next, reached_end_of_file);
         // Which window bytes the chunk actually referenced; the seek point
         // stores a sparsified window based on this.
         let window_usage;
@@ -552,56 +578,35 @@ impl ParallelGzipReader {
                 // Resolve the trailing window serially, then dispatch the full
                 // marker replacement to the pool (§2.2: only the window
                 // propagation is inherently sequential).
-                let next_window = if !window_usage.is_empty() {
-                    resolve_window(&chunk.symbols, &window).map_err(CoreError::Deflate)?
-                } else {
-                    let resolved_tail: Vec<u8> = chunk
-                        .symbols
-                        .iter()
-                        .skip(chunk.symbols.len().saturating_sub(WINDOW_SIZE))
-                        .map(|&s| s as u8)
-                        .collect();
-                    let mut combined = Vec::with_capacity(WINDOW_SIZE);
-                    if resolved_tail.len() < WINDOW_SIZE {
-                        let need = WINDOW_SIZE - resolved_tail.len();
-                        let take = need.min(window.len());
-                        combined.extend_from_slice(&window[window.len() - take..]);
-                    }
-                    combined.extend_from_slice(&resolved_tail);
-                    combined
-                };
+                window_for_next =
+                    Arc::new(resolve_window(&chunk.symbols, &window).map_err(CoreError::Deflate)?);
                 end_bit = chunk.end_bit_offset;
                 chunk_length = chunk.symbols.len() as u64;
                 reached_end_of_file = chunk.reached_end_of_file;
-                window_for_next = Arc::new(next_window);
-                let window_clone = window.clone();
-                let symbols = chunk.symbols;
-                let member_ends = chunk.member_ends;
-                members_ended = member_ends.len() as u64;
-                let verifier = self.verifier.clone();
+                members_ended = chunk.member_ends.len() as u64;
+                let SpeculativeChunk {
+                    symbols,
+                    member_ends,
+                    ..
+                } = chunk;
+                let window = window.clone();
+                let commit = verify.then(|| self.fragment_committer());
                 let trace = self.trace.clone();
                 let marker_seconds = self.metrics.stage_marker_replace.clone();
-                let crc_seconds = self.metrics.stage_crc_fold.clone();
-                // The checksum map shares storage with the index (and holds
-                // no pool reference), so the worker can record this seek
-                // point's fragments for verified random access later.
-                let checksum_map = self.state.lock().index.checksum_map.clone();
                 let handle = self.pool.submit(move || {
-                    let _stage_timer = marker_seconds.start_timer();
                     let mut span = trace
                         .span(Stage::MarkerReplace)
                         .chunk(start_bit)
-                        .member(first_member);
+                        .member(first_member)
+                        .observe(&marker_seconds);
                     span.set_bytes(symbols.len() as u64);
-                    let result = if verify {
+                    let result = match &commit {
                         // Hash the resolved bytes per member fragment right
-                        // here on the worker, then hand the fragments to the
-                        // stream-ordered fold.
-                        let ends: Vec<usize> =
-                            member_ends.iter().map(|&(end, _)| end as usize).collect();
-                        replace_markers_hashed(&symbols, &window_clone, &ends)
-                            .map_err(CoreError::Deflate)
-                            .map(|(data, crcs)| {
+                        // here on the worker, then commit the fragments.
+                        Some(commit) => {
+                            let ends: Vec<usize> =
+                                member_ends.iter().map(|&(end, _)| end as usize).collect();
+                            replace_markers_hashed(&symbols, &window, &ends).map(|(data, crcs)| {
                                 let mut fragments = Vec::with_capacity(crcs.len());
                                 let mut start = 0u64;
                                 for (index, crc32) in crcs.into_iter().enumerate() {
@@ -616,30 +621,17 @@ impl ParallelGzipReader {
                                     });
                                     start += length;
                                 }
-                                checksum_map.insert(
-                                    start_bit,
-                                    PointChecksums::from_fragments(
-                                        first_member,
-                                        fragments.iter().map(|f| (f.crc32, f.length)),
-                                    ),
-                                );
-                                {
-                                    let _fold = trace.span(Stage::CrcFold).chunk(start_bit);
-                                    let _crc_timer = crc_seconds.start_timer();
-                                    verifier.lock().submit(seq, fragments);
-                                }
+                                commit(start_bit, first_member, seq, fragments);
                                 data
                             })
-                    } else {
-                        replace_markers(&symbols, &window_clone).map_err(CoreError::Deflate)
-                    };
-                    span.set_outcome(match &result {
-                        Ok(_) => Outcome::Committed,
-                        Err(_) => Outcome::Error,
-                    });
+                        }
+                        None => replace_markers(&symbols, &window),
+                    }
+                    .map_err(CoreError::Deflate);
+                    span.set_outcome(outcome(&result));
                     result
                 });
-                data_handle = ChunkData::Pending(handle);
+                data = ChunkData::Pending(handle);
                 self.trace.instant(
                     instants::SPEC_COMMIT,
                     EventMeta {
@@ -654,28 +646,18 @@ impl ParallelGzipReader {
             }
             other => {
                 if let Some(wasted) = other {
-                    let wasted_bytes = wasted.symbols.len() as u64;
                     self.metrics.speculation_mismatches.inc();
-                    self.metrics.chunks_wasted.inc();
-                    self.metrics.bytes_wasted.add(wasted_bytes);
-                    self.trace.instant(
-                        instants::SPEC_WASTE,
-                        EventMeta {
-                            chunk: Some(wasted.found_bit_offset),
-                            bytes: Some(wasted_bytes),
-                            ..EventMeta::default()
-                        },
-                    );
+                    self.count_waste(wasted.found_bit_offset, wasted.symbols.len() as u64);
                 }
                 // Decode on demand with the known window (first chunk, false
                 // positive, or no speculative result available).
-                let _stage_timer = self.metrics.stage_decode_one_stage.start_timer();
                 let mut span = self
                     .trace
                     .span(Stage::DecodeOneStage)
                     .chunk(start_bit)
-                    .member(first_member);
-                let mut result = match decode_chunk_at(
+                    .member(first_member)
+                    .observe(&self.metrics.stage_decode_one_stage);
+                let result = match decode_chunk_at(
                     &self.reader,
                     start_bit,
                     stop_bit,
@@ -706,33 +688,14 @@ impl ParallelGzipReader {
                     .filter(|f| f.trailer.is_some())
                     .count() as u64;
                 if verify {
-                    self.state.lock().index.checksum_map.insert(
-                        start_bit,
-                        PointChecksums::from_fragments(
-                            first_member,
-                            result.fragments.iter().map(|f| (f.crc32, f.length)),
-                        ),
-                    );
-                    let _fold = self.trace.span(Stage::CrcFold).chunk(start_bit);
-                    let _crc_timer = self.metrics.stage_crc_fold.start_timer();
-                    self.verifier
-                        .lock()
-                        .submit(seq, std::mem::take(&mut result.fragments));
+                    self.fragment_committer()(start_bit, first_member, seq, result.fragments);
                 }
                 end_bit = result.end_bit_offset;
                 chunk_length = result.data.len() as u64;
                 reached_end_of_file = result.reached_end_of_file;
                 window_usage = result.window_usage;
-                let tail_start = result.data.len().saturating_sub(WINDOW_SIZE);
-                let mut next_window: Vec<u8> = Vec::with_capacity(WINDOW_SIZE);
-                if result.data.len() < WINDOW_SIZE {
-                    let need = WINDOW_SIZE - result.data.len();
-                    let take = need.min(window.len());
-                    next_window.extend_from_slice(&window[window.len() - take..]);
-                }
-                next_window.extend_from_slice(&result.data[tail_start..]);
-                window_for_next = Arc::new(next_window);
-                data_handle = ChunkData::Ready(Arc::new(result.data));
+                window_for_next = Arc::new(next_window(&window, &result.data));
+                data = ChunkData::Ready(Arc::new(result.data));
                 self.metrics.chunks_on_demand.inc();
                 self.metrics.bytes_out.add(chunk_length);
             }
@@ -748,7 +711,11 @@ impl ParallelGzipReader {
             &window,
             &window_usage,
         );
-        state.chunk_data.insert(start_bit, data_handle);
+        let entry = ChunkEntry {
+            data,
+            prefetched: false,
+        };
+        state.chunk_data.insert(start_bit, entry);
         state.pass.next_start_bit = end_bit;
         state.pass.next_uncompressed_offset = uncompressed_offset + chunk_length;
         state.pass.window = window_for_next;
@@ -761,56 +728,71 @@ impl ParallelGzipReader {
         // Drop stale speculative results that can never match again, counting
         // each one as wasted speculation work.
         let next_start = state.pass.next_start_bit;
-        let stale: Vec<u64> = state
-            .speculative_ready
-            .keys()
-            .copied()
-            .filter(|&found| found < next_start)
-            .collect();
-        let mut wasted_events: Vec<(u64, u64)> = Vec::with_capacity(stale.len());
-        for found in stale {
-            if let Some(chunk) = state.speculative_ready.remove(&found) {
-                let bytes = chunk.symbols.len() as u64;
-                wasted_events.push((found, bytes));
+        let mut wasted: Vec<(u64, u64)> = Vec::new();
+        state.speculative_ready.retain(|&found, chunk| {
+            let stale = found < next_start;
+            if stale {
+                wasted.push((found, chunk.symbols.len() as u64));
             }
-        }
+            !stale
+        });
         // At the end of the pass, harvest any speculative task that already
         // finished: its result can never be committed, so it is pure waste.
         // Tasks still genuinely in flight are left to complete on the pool and
         // are dropped unharvested (their cost is not attributable yet).
         if state.pass.finished {
-            let finished: Vec<usize> = state
-                .speculative_pending
-                .iter()
-                .filter(|(_, handle)| handle.is_finished())
-                .map(|(&index, _)| index)
-                .collect();
-            for index in finished {
-                if let Some(handle) = state.speculative_pending.remove(&index) {
-                    if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
-                        let bytes = chunk.symbols.len() as u64;
-                        wasted_events.push((chunk.found_bit_offset, bytes));
-                    }
-                }
+            for chunk in state.harvest_speculation() {
+                wasted.push((chunk.found_bit_offset, chunk.symbols.len() as u64));
             }
         }
         drop(state);
-        for (found, bytes) in wasted_events {
-            self.metrics.chunks_wasted.inc();
-            self.metrics.bytes_wasted.add(bytes);
-            self.trace.instant(
-                instants::SPEC_WASTE,
-                EventMeta {
-                    chunk: Some(found),
-                    bytes: Some(bytes),
-                    ..EventMeta::default()
-                },
-            );
+        for (found, bytes) in wasted {
+            self.count_waste(found, bytes);
         }
         // Surface any mismatch the fold has found so far (an on-demand chunk
         // submits synchronously; speculative workers may have reported a
         // failure from an earlier chunk by now).
         self.check_verification()
+    }
+
+    /// Counts one speculative result discarded without being committed.
+    fn count_waste(&self, found_bit_offset: u64, bytes: u64) {
+        self.metrics.chunks_wasted.inc();
+        self.metrics.bytes_wasted.add(bytes);
+        self.trace.instant(
+            instants::SPEC_WASTE,
+            EventMeta {
+                chunk: Some(found_bit_offset),
+                bytes: Some(bytes),
+                ..EventMeta::default()
+            },
+        );
+    }
+
+    /// Returns the one way a chunk's CRC fragments are committed, called as
+    /// `commit(start_bit, first_member, seq, fragments)`: they are stored as
+    /// the seek point's checksums for verified random access, then submitted
+    /// to the stream-ordered fold.  The closure captures no pool-owning value
+    /// (the window map stays out; a worker dropping the pool's last handle
+    /// would try to join itself), so marker-replacement workers can run it.
+    fn fragment_committer(&self) -> impl Fn(u64, u64, u64, Vec<ChunkFragment>) + Send + 'static {
+        // The checksum map shares storage with the index.
+        let checksum_map = self.state.lock().index.checksum_map.clone();
+        let verifier = self.verifier.clone();
+        let trace = self.trace.clone();
+        let crc_seconds = self.metrics.stage_crc_fold.clone();
+        move |start_bit, first_member, seq, fragments: Vec<ChunkFragment>| {
+            let lengths = fragments.iter().map(|f| (f.crc32, f.length));
+            checksum_map.insert(
+                start_bit,
+                PointChecksums::from_fragments(first_member, lengths),
+            );
+            let _fold = trace
+                .span(Stage::CrcFold)
+                .chunk(start_bit)
+                .observe(&crc_seconds);
+            verifier.lock().submit(seq, fragments);
+        }
     }
 
     /// Looks for a finished speculative chunk starting exactly at `start_bit`;
@@ -820,24 +802,13 @@ impl ParallelGzipReader {
         start_bit: u64,
         guess_index: usize,
     ) -> Result<Option<SpeculativeChunk>, CoreError> {
-        // Harvest all finished speculative tasks.
         let handle_to_wait;
         {
             let mut state = self.state.lock();
-            let finished: Vec<usize> = state
-                .speculative_pending
-                .iter()
-                .filter(|(_, handle)| handle.is_finished())
-                .map(|(&index, _)| index)
-                .collect();
-            for index in finished {
-                if let Some(handle) = state.speculative_pending.remove(&index) {
-                    if let Some(Ok(Ok(Some(chunk)))) = handle.try_wait() {
-                        state
-                            .speculative_ready
-                            .insert(chunk.found_bit_offset, chunk);
-                    }
-                }
+            for chunk in state.harvest_speculation() {
+                state
+                    .speculative_ready
+                    .insert(chunk.found_bit_offset, chunk);
             }
             if let Some(chunk) = state.speculative_ready.remove(&start_bit) {
                 return Ok(Some(chunk));
@@ -863,12 +834,12 @@ impl ParallelGzipReader {
     }
 
     /// Submits speculative decompression tasks for the chunks following
-    /// `start_bit`, up to the prefetch degree.
+    /// `start_bit`, up to the prefetch limit.
     fn issue_prefetches(&self, start_bit: u64) {
         let chunk_bits = (self.options.chunk_size as u64) * 8;
         let total_chunks = (self.reader.size() as usize).div_ceil(self.options.chunk_size);
         let current_guess = (start_bit / chunk_bits) as usize;
-        let degree = self.options.effective_prefetch_degree();
+        let degree = self.prefetch_limit();
 
         let mut state = self.state.lock();
         for guess in (current_guess + 1)..=(current_guess + degree) {
@@ -892,8 +863,7 @@ impl ParallelGzipReader {
             let trace = self.trace.clone();
             let decode_seconds = self.metrics.stage_decode_two_stage.clone();
             let handle = self.pool.submit(move || {
-                let _stage_timer = decode_seconds.start_timer();
-                decode_speculative_chunk_traced(&reader, chunk_size, guess, &trace)
+                decode_speculative_chunk(&reader, chunk_size, guess, &trace, &decode_seconds)
             });
             state.speculative_pending.insert(guess, handle);
         }
@@ -910,7 +880,7 @@ impl ParallelGzipReader {
     /// starts at a real seek point and stops at the next one, so no decode
     /// is wasted on a misguessed boundary.
     fn issue_index_prefetches(&self, position: u64) {
-        let degree = self.options.effective_prefetch_degree();
+        let degree = self.prefetch_limit();
         let mut state = self.state.lock();
         if !state.pass.finished || state.index.block_map.len() < 2 {
             return;
@@ -947,29 +917,26 @@ impl ParallelGzipReader {
 
         // Cap the decoded-but-unconsumed backlog; evict finished prefetches
         // the plan no longer predicts (random access moved elsewhere).
-        let outstanding: Vec<u64> = state
-            .index_prefetched
-            .iter()
-            .filter(|key| state.chunk_data.contains_key(key))
-            .copied()
-            .collect();
-        if outstanding.len() >= degree.saturating_mul(2) {
+        let backlog_limit = degree.saturating_mul(2);
+        let backlog = |state: &ReaderState| {
+            state
+                .chunk_data
+                .values()
+                .filter(|entry| entry.prefetched)
+                .count()
+        };
+        if backlog(&state) >= backlog_limit {
             let predicted: std::collections::HashSet<u64> = targets
                 .iter()
                 .map(|&chunk| state.index.block_map.points()[chunk].compressed_bit_offset)
                 .collect();
-            for key in outstanding {
-                if predicted.contains(&key) {
-                    continue;
-                }
-                let finished = match state.chunk_data.get(&key) {
-                    Some(ChunkData::Ready(_)) => true,
-                    Some(ChunkData::Pending(handle)) => handle.is_finished(),
-                    None => true,
+            state.chunk_data.retain(|&key, entry| {
+                let finished = match &entry.data {
+                    ChunkData::Ready(_) => true,
+                    ChunkData::Pending(handle) => handle.is_finished(),
                 };
-                if finished {
-                    state.chunk_data.remove(&key);
-                    state.index_prefetched.remove(&key);
+                let evict = entry.prefetched && finished && !predicted.contains(&key);
+                if evict {
                     self.trace.instant(
                         instants::PREFETCH_EVICT,
                         EventMeta {
@@ -978,14 +945,9 @@ impl ParallelGzipReader {
                         },
                     );
                 }
-            }
-            if state
-                .index_prefetched
-                .iter()
-                .filter(|key| state.chunk_data.contains_key(key))
-                .count()
-                >= degree.saturating_mul(2)
-            {
+                !evict
+            });
+            if backlog(&state) >= backlog_limit {
                 return;
             }
         }
@@ -1029,60 +991,45 @@ impl ParallelGzipReader {
             let checksums = if verify { checksum_map.get(key) } else { None };
             let reader = self.reader.clone();
             let chunk_size = self.options.chunk_size;
-            let expected_length = point.uncompressed_size;
             let trace = self.trace.clone();
             self.trace.instant(
                 instants::PREFETCH_ISSUE,
                 EventMeta {
                     chunk: Some(key),
-                    bytes: Some(expected_length),
+                    bytes: Some(point.uncompressed_size),
                     ..EventMeta::default()
                 },
             );
             let prefetch_seconds = self.metrics.stage_prefetch_decode.clone();
             let handle = self.pool.submit(move || {
-                let _stage_timer = prefetch_seconds.start_timer();
-                let mut span = trace.span(Stage::PrefetchDecode).chunk(key);
-                let result = (|| {
-                    let window = match &record {
-                        Some(record) => {
-                            let _inflate = trace.span(Stage::WindowInflate).chunk(key);
-                            record.decompress().map_err(CoreError::Window)?
-                        }
-                        None => Vec::new(),
-                    };
-                    let hashed = checksums.is_some();
-                    let result = decode_chunk_at(
+                // The span covers the window's inflation too.
+                let mut span = trace
+                    .span(Stage::PrefetchDecode)
+                    .chunk(key)
+                    .observe(&prefetch_seconds);
+                let result = match &record {
+                    Some(record) => record.decompress().map_err(CoreError::Window),
+                    None => Ok(Vec::new()),
+                }
+                .and_then(|window| {
+                    decode_indexed(
                         &reader,
-                        key,
+                        &point,
                         stop_bit,
                         &window,
-                        key == 0,
                         chunk_size,
-                        hashed,
-                    )?;
-                    if result.data.len() as u64 != expected_length {
-                        return Err(CoreError::IndexMismatch {
-                            compressed_bit_offset: key,
-                        });
-                    }
-                    if let Some(checksums) = &checksums {
-                        check_point_fragments(checksums, &result.fragments)?;
-                    }
-                    Ok(result.data)
-                })();
-                match &result {
-                    Ok(data) => {
-                        span.set_bytes(data.len() as u64);
-                        span.set_outcome(Outcome::Committed);
-                    }
-                    Err(_) => span.set_outcome(Outcome::Error),
-                }
+                        checksums.as_deref(),
+                        &mut span,
+                    )
+                });
+                span.set_outcome(outcome(&result));
                 result
             });
-            let mut state = self.state.lock();
-            state.chunk_data.insert(key, ChunkData::Pending(handle));
-            state.index_prefetched.insert(key);
+            let entry = ChunkEntry {
+                data: ChunkData::Pending(handle),
+                prefetched: true,
+            };
+            self.state.lock().chunk_data.insert(key, entry);
             self.metrics.prefetch_issued_index.inc();
         }
     }
@@ -1107,89 +1054,69 @@ impl ParallelGzipReader {
     fn chunk_bytes(&self, point: &SeekPoint) -> Result<Arc<Vec<u8>>, CoreError> {
         let key = point.compressed_bit_offset;
         // Data produced (or being produced) by the sequential pass or an
-        // index-aligned prefetch.  The prefetch-hit bookkeeping lives inside
-        // the match arms: a stale prefetch flag whose data was already
-        // evicted must fall through to the on-demand decode below without
-        // counting the chunk twice.
-        {
+        // index-aligned prefetch.
+        let entry = {
             let mut state = self.state.lock();
             if let Some(cached) = state.resolved_cache.get(&key) {
                 return Ok(cached);
             }
-            let prefetched = state.index_prefetched.remove(&key);
-            match state.chunk_data.remove(&key) {
-                Some(ChunkData::Ready(data)) => {
-                    if prefetched {
-                        self.count_fast_path_verification(&state, key);
-                        self.metrics.prefetch_hits.inc();
-                        self.metrics.chunks_index.inc();
-                        self.metrics.bytes_out.add(data.len() as u64);
-                        self.trace.instant(
-                            instants::PREFETCH_HIT,
-                            EventMeta {
-                                chunk: Some(key),
-                                ..EventMeta::default()
-                            },
-                        );
-                    }
-                    state.resolved_cache.insert(key, data.clone());
-                    return Ok(data);
-                }
-                Some(ChunkData::Pending(handle)) => {
-                    if prefetched {
-                        self.count_fast_path_verification(&state, key);
-                        self.metrics.prefetch_hits.inc();
-                        self.metrics.chunks_index.inc();
-                        self.trace.instant(
-                            instants::PREFETCH_HIT,
-                            EventMeta {
-                                chunk: Some(key),
-                                ..EventMeta::default()
-                            },
-                        );
-                    }
-                    drop(state);
+            let entry = state.chunk_data.remove(&key);
+            if entry.as_ref().is_some_and(|entry| entry.prefetched) {
+                self.count_fast_path_verification(&state, key);
+                self.metrics.prefetch_hits.inc();
+                self.metrics.chunks_index.inc();
+                self.trace.instant(
+                    instants::PREFETCH_HIT,
+                    EventMeta {
+                        chunk: Some(key),
+                        ..EventMeta::default()
+                    },
+                );
+            }
+            entry
+        };
+        if let Some(entry) = entry {
+            let data = match entry.data {
+                ChunkData::Ready(data) => data,
+                ChunkData::Pending(handle) => {
                     // A prefetched chunk with stored fragments has compared
                     // its output inside the task; a fragment mismatch
                     // surfaces here as the task's error.
                     let data = Arc::new(handle.wait()?);
-                    if prefetched {
-                        self.metrics.bytes_out.add(data.len() as u64);
-                    }
                     // The worker that produced this chunk has submitted its
                     // CRC fragments by now; fail the read if the fold caught
                     // a trailer mismatch.
                     self.check_verification()?;
-                    let mut state = self.state.lock();
-                    state.resolved_cache.insert(key, data.clone());
-                    return Ok(data);
+                    data
                 }
-                None => {}
+            };
+            if entry.prefetched {
+                self.metrics.bytes_out.add(data.len() as u64);
             }
+            self.state.lock().resolved_cache.insert(key, data.clone());
+            return Ok(data);
         }
 
         // Random access / index fast path: decode on demand with the stored
-        // window, lazily re-inflated from its compressed record.
-        let (window, checksums) = {
+        // window, lazily re-inflated from its compressed record (or served
+        // by the window store's hot cache).
+        let (window, checksums, stop_bit) = {
             let state = self.state.lock();
             let checksums = if self.options.verification == VerificationMode::Full {
                 state.index.checksum_map.get(key)
             } else {
                 None
             };
-            (state.index.window_map.try_get(key), checksums)
-        };
-        let window = window.map_err(CoreError::Window)?.unwrap_or_default();
-        let stop_bit = {
-            let state = self.state.lock();
             let points = state.index.block_map.points();
             // Points are sorted by compressed offset (enforced on import).
-            let position = points.partition_point(|p| p.compressed_bit_offset <= key);
-            points
-                .get(position)
+            let next = points.partition_point(|p| p.compressed_bit_offset <= key);
+            let stop_bit = points
+                .get(next)
                 .map(|p| p.compressed_bit_offset)
-                .unwrap_or(u64::MAX)
+                .unwrap_or(u64::MAX);
+            (state.index.window_map.try_get(key), checksums, stop_bit)
         };
+        let window = window.map_err(CoreError::Window)?.unwrap_or_default();
         // Chunks re-decoded through the index are not folded into the stream
         // verification; instead, when the index stores per-point CRC
         // fragments (format v3), hash the output and compare against them.
@@ -1202,43 +1129,26 @@ impl ParallelGzipReader {
                 ..EventMeta::default()
             },
         );
-        let _stage_timer = self.metrics.stage_random_access.start_timer();
-        let mut span = self.trace.span(Stage::RandomAccess).chunk(key);
+        let mut span = self
+            .trace
+            .span(Stage::RandomAccess)
+            .chunk(key)
+            .observe(&self.metrics.stage_random_access);
         if let Some(checksums) = &checksums {
             span.set_member(checksums.first_member);
         }
-        let result = match decode_chunk_at(
+        let result = decode_indexed(
             &self.reader,
-            key,
+            point,
             stop_bit,
             &window,
-            key == 0,
             self.options.chunk_size,
-            checksums.is_some(),
-        ) {
-            Ok(result) => result,
-            Err(error) => {
-                span.set_outcome(Outcome::Error);
-                return Err(error);
-            }
-        };
-        span.set_bytes(result.data.len() as u64);
-        span.set_compressed_range(key / 8, result.end_bit_offset.div_ceil(8));
-        if result.data.len() as u64 != point.uncompressed_size {
-            span.set_outcome(Outcome::Error);
-            return Err(CoreError::IndexMismatch {
-                compressed_bit_offset: key,
-            });
-        }
-        if let Some(checksums) = &checksums {
-            if let Err(error) = check_point_fragments(checksums, &result.fragments) {
-                span.set_outcome(Outcome::Error);
-                return Err(error);
-            }
-        }
-        span.set_outcome(Outcome::Committed);
+            checksums.as_deref(),
+            &mut span,
+        );
+        span.set_outcome(outcome(&result));
         span.finish();
-        let data = Arc::new(result.data);
+        let data = Arc::new(result?);
         let mut state = self.state.lock();
         self.count_fast_path_verification(&state, key);
         self.metrics.chunks_index.inc();
@@ -1291,6 +1201,60 @@ impl ParallelGzipReader {
     }
 }
 
+/// The span outcome of a chunk job that commits its product on success.
+fn outcome<T>(result: &Result<T, CoreError>) -> Outcome {
+    if result.is_ok() {
+        Outcome::Committed
+    } else {
+        Outcome::Error
+    }
+}
+
+/// The window following a chunk that decoded to `data`: the last
+/// [`WINDOW_SIZE`] bytes of the preceding `window` followed by `data`.
+fn next_window(window: &[u8], data: &[u8]) -> Vec<u8> {
+    let take = WINDOW_SIZE.saturating_sub(data.len()).min(window.len());
+    let tail = &data[data.len().saturating_sub(WINDOW_SIZE)..];
+    [&window[window.len() - take..], tail].concat()
+}
+
+/// Decodes the chunk at seek point `point` with its stored `window` and
+/// checks it against the index: the decoded length must match the point's
+/// and, with stored `checksums` (v3 indexes), so must the CRC fragments.
+/// The index-aligned prefetch task and on-demand random access both decode
+/// through here; `span` receives the bytes and compressed range.
+fn decode_indexed(
+    reader: &SharedFileReader,
+    point: &SeekPoint,
+    stop_bit: u64,
+    window: &[u8],
+    chunk_size: usize,
+    checksums: Option<&PointChecksums>,
+    span: &mut SpanGuard<'_>,
+) -> Result<Vec<u8>, CoreError> {
+    let key = point.compressed_bit_offset;
+    let result = decode_chunk_at(
+        reader,
+        key,
+        stop_bit,
+        window,
+        key == 0,
+        chunk_size,
+        checksums.is_some(),
+    )?;
+    span.set_bytes(result.data.len() as u64);
+    span.set_compressed_range(key / 8, result.end_bit_offset.div_ceil(8));
+    if result.data.len() as u64 != point.uncompressed_size {
+        return Err(CoreError::IndexMismatch {
+            compressed_bit_offset: key,
+        });
+    }
+    if let Some(checksums) = checksums {
+        check_point_fragments(checksums, &result.fragments)?;
+    }
+    Ok(result.data)
+}
+
 impl Read for ParallelGzipReader {
     fn read(&mut self, buffer: &mut [u8]) -> std::io::Result<usize> {
         if buffer.is_empty() {
@@ -1337,6 +1301,7 @@ mod tests {
     use super::*;
     use rgz_datagen::{base64_random, fastq_records, silesia_like};
     use rgz_gzip::{decompress, CompressorFrontend, FrontendKind, GzipWriter};
+    use rgz_metrics::names;
 
     fn options(parallelization: usize, chunk_size: usize) -> ParallelGzipReaderOptions {
         ParallelGzipReaderOptions {
@@ -1891,6 +1856,83 @@ mod tests {
                 statistics.speculative_bytes_wasted
             )
         );
+
+        // With a registry attached, every stage's histogram observes exactly
+        // the spans of that stage, errors and false positives included.
+        // Seeking back after the full read adds random access, index
+        // prefetches and window inflation; dropping the reader joins the
+        // pool, so no span is still open.
+        let data = base64_random(600_000, 72);
+        let compressed = GzipWriter::default().compress(&data);
+        let trace = Arc::new(TraceSink::new_enabled());
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let mut reader = ParallelGzipReader::from_bytes(
+            compressed,
+            ParallelGzipReaderOptions {
+                resolved_cache_chunks: 1,
+                ..options(4, 64 * 1024)
+                    .with_trace(trace.clone())
+                    .with_metrics(registry.clone())
+            },
+        )
+        .unwrap();
+        assert_eq!(reader.decompress_all().unwrap(), data);
+        let mut buffer = vec![0u8; 4096];
+        for offset in [100_000u64, 200_000, 300_000, 400_000] {
+            reader.seek(SeekFrom::Start(offset)).unwrap();
+            reader.read_exact(&mut buffer).unwrap();
+            assert_eq!(&buffer[..], &data[offset as usize..offset as usize + 4096]);
+        }
+        drop(reader);
+        let mut spans = HashMap::new();
+        for track in trace.snapshot() {
+            for event in &track.events {
+                if let EventKind::Span { stage, .. } = event.kind {
+                    *spans.entry(stage.name()).or_insert(0u64) += 1;
+                }
+            }
+        }
+        let metrics = registry.snapshot();
+        // Each reader stage has one `rgz_stage_seconds` series; the window
+        // store and the pool time theirs in families of their own.
+        let observations = |stage: Stage| {
+            let (name, labels) = match stage {
+                Stage::WindowCompress => (names::WINDOW_COMPRESS_SECONDS, vec![]),
+                Stage::WindowInflate => (names::WINDOW_INFLATE_SECONDS, vec![]),
+                Stage::TaskWait => (names::POOL_TASK_WAIT_SECONDS, vec![]),
+                _ => (names::STAGE_SECONDS, vec![("stage", stage.name())]),
+            };
+            metrics.histogram(name, &labels).map_or(0, |h| h.count)
+        };
+        for stage in [
+            Stage::DecodeTwoStage,
+            Stage::DecodeOneStage,
+            Stage::MarkerReplace,
+            Stage::CrcFold,
+            Stage::PrefetchDecode,
+            Stage::RandomAccess,
+            Stage::WindowCompress,
+            Stage::WindowInflate,
+            Stage::TaskWait,
+        ] {
+            assert_eq!(
+                spans.get(stage.name()).copied().unwrap_or(0),
+                observations(stage),
+                "{} spans vs histogram observations",
+                stage.name()
+            );
+        }
+        for stage in [
+            Stage::DecodeTwoStage,
+            Stage::RandomAccess,
+            Stage::WindowInflate,
+        ] {
+            assert!(
+                spans.contains_key(stage.name()),
+                "no {} spans",
+                stage.name()
+            );
+        }
 
         // A disabled sink built the exact same way records nothing.
         let data = fastq_records(2_000, 70);

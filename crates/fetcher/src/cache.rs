@@ -1,68 +1,10 @@
-//! A keyed cache with pluggable eviction strategy (the `Cache`,
-//! `CacheStrategy` and `LeastRecentlyUsed` classes of Figure 5).
+//! A bounded least-recently-used cache (the `Cache` and `LeastRecentlyUsed`
+//! classes of Figure 5, folded into one type: LRU is the only eviction
+//! policy the pipeline uses).
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// Eviction policy interface: informed about touches and insertions, asked
-/// which key to evict when the cache is full.
-pub trait CacheStrategy<K>: Send {
-    /// A key was accessed.
-    fn touch(&mut self, key: &K);
-    /// A key was inserted.
-    fn insert(&mut self, key: K);
-    /// A key was removed externally.
-    fn remove(&mut self, key: &K);
-    /// Chooses the key to evict.
-    fn evict(&mut self) -> Option<K>;
-}
-
-/// Least-recently-used eviction.
-#[derive(Debug)]
-pub struct LeastRecentlyUsed<K> {
-    /// Keys ordered from least to most recently used.
-    order: Vec<K>,
-}
-
-impl<K> Default for LeastRecentlyUsed<K> {
-    fn default() -> Self {
-        Self { order: Vec::new() }
-    }
-}
-
-impl<K: Eq + Clone> CacheStrategy<K> for LeastRecentlyUsed<K>
-where
-    K: Send,
-{
-    fn touch(&mut self, key: &K) {
-        if let Some(position) = self.order.iter().position(|k| k == key) {
-            let key = self.order.remove(position);
-            self.order.push(key);
-        }
-    }
-
-    fn insert(&mut self, key: K) {
-        if let Some(position) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(position);
-        }
-        self.order.push(key);
-    }
-
-    fn remove(&mut self, key: &K) {
-        if let Some(position) = self.order.iter().position(|k| k == key) {
-            self.order.remove(position);
-        }
-    }
-
-    fn evict(&mut self) -> Option<K> {
-        if self.order.is_empty() {
-            None
-        } else {
-            Some(self.order.remove(0))
-        }
-    }
-}
 
 /// Hit/miss counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -75,15 +17,16 @@ pub struct CacheStatistics {
     pub evictions: u64,
 }
 
-/// A bounded cache holding `Arc<V>` values.
-pub struct Cache<K, V, S = LeastRecentlyUsed<K>> {
+/// A bounded LRU cache holding `Arc<V>` values.
+pub struct Cache<K, V> {
     capacity: usize,
     entries: HashMap<K, Arc<V>>,
-    strategy: S,
+    /// Keys ordered from least to most recently used.
+    order: Vec<K>,
     statistics: CacheStatistics,
 }
 
-impl<K: std::fmt::Debug, V, S> std::fmt::Debug for Cache<K, V, S> {
+impl<K: std::fmt::Debug, V> std::fmt::Debug for Cache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("capacity", &self.capacity)
@@ -93,34 +36,15 @@ impl<K: std::fmt::Debug, V, S> std::fmt::Debug for Cache<K, V, S> {
     }
 }
 
-impl<K, V> Cache<K, V, LeastRecentlyUsed<K>>
-where
-    K: Eq + Hash + Clone + Send,
-{
+impl<K: Eq + Hash + Clone, V> Cache<K, V> {
     /// Creates an LRU cache with the given capacity (at least 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_strategy(capacity, LeastRecentlyUsed::default())
-    }
-}
-
-impl<K, V, S> Cache<K, V, S>
-where
-    K: Eq + Hash + Clone + Send,
-    S: CacheStrategy<K>,
-{
-    /// Creates a cache with an explicit eviction strategy.
-    pub fn with_strategy(capacity: usize, strategy: S) -> Self {
         Self {
             capacity: capacity.max(1),
             entries: HashMap::new(),
-            strategy,
+            order: Vec::new(),
             statistics: CacheStatistics::default(),
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -138,13 +62,22 @@ where
         self.statistics
     }
 
+    /// Drops `key` from the recency order, if present.
+    fn forget(&mut self, key: &K) {
+        if let Some(position) = self.order.iter().position(|k| k == key) {
+            self.order.remove(position);
+        }
+    }
+
     /// Looks up a key, marking it as recently used.
     pub fn get(&mut self, key: &K) -> Option<Arc<V>> {
         match self.entries.get(key) {
             Some(value) => {
+                let value = value.clone();
                 self.statistics.hits += 1;
-                self.strategy.touch(key);
-                Some(value.clone())
+                self.forget(key);
+                self.order.push(key.clone());
+                Some(value)
             }
             None => {
                 self.statistics.misses += 1;
@@ -153,54 +86,29 @@ where
         }
     }
 
-    /// Looks up a key without affecting eviction order or statistics.
-    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.entries.get(key).cloned()
-    }
-
     /// Whether a key is present (does not affect statistics).
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
     }
 
-    /// Inserts a value, evicting as necessary.
+    /// Inserts a value, evicting the least recently used entries as
+    /// necessary.
     pub fn insert(&mut self, key: K, value: Arc<V>) {
-        if self.entries.contains_key(&key) {
-            self.entries.insert(key.clone(), value);
-            self.strategy.touch(&key);
-            return;
-        }
-        while self.entries.len() >= self.capacity {
-            match self.strategy.evict() {
-                Some(evicted) => {
-                    self.entries.remove(&evicted);
-                    self.statistics.evictions += 1;
-                }
-                None => break,
+        if self.entries.insert(key.clone(), value).is_none() {
+            while self.entries.len() > self.capacity && !self.order.is_empty() {
+                let evicted = self.order.remove(0);
+                self.entries.remove(&evicted);
+                self.statistics.evictions += 1;
             }
         }
-        self.strategy.insert(key.clone());
-        self.entries.insert(key, value);
+        self.forget(&key);
+        self.order.push(key);
     }
 
     /// Removes a key.
     pub fn remove(&mut self, key: &K) -> Option<Arc<V>> {
-        self.strategy.remove(key);
+        self.forget(key);
         self.entries.remove(key)
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        let keys: Vec<K> = self.entries.keys().cloned().collect();
-        for key in &keys {
-            self.strategy.remove(key);
-        }
-        self.entries.clear();
-    }
-
-    /// Iterates over the currently cached keys (in arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
     }
 }
 
@@ -260,9 +168,6 @@ mod tests {
         let statistics = cache.statistics();
         assert_eq!(statistics.hits, 2);
         assert_eq!(statistics.misses, 1);
-        // peek affects neither.
-        cache.peek(&2);
-        assert_eq!(cache.statistics(), statistics);
     }
 
     #[test]
@@ -273,13 +178,7 @@ mod tests {
         }
         assert_eq!(cache.remove(&2).map(|v| *v), Some(2));
         assert_eq!(cache.remove(&2), None);
-        cache.clear();
-        assert!(cache.is_empty());
-        // The strategy state must be consistent: inserting after clear works.
-        for i in 10..20 {
-            cache.insert(i, Arc::new(i));
-        }
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The cache-and-prefetch machinery (§3.1–§3.2, Figure 5).
 //!
 //! * [`ThreadPool`] — a fixed-size worker pool with joinable task handles.
-//! * [`Cache`] — a keyed cache parameterised by a [`CacheStrategy`]
-//!   (eviction policy); [`LeastRecentlyUsed`] is the default.
+//! * [`Cache`] — a bounded keyed cache with least-recently-used eviction,
+//!   the one policy the pipeline needs.
 //! * [`FetchNextAdaptive`] — decides which chunk indexes to prefetch based
 //!   on the recent access history.
 //! * [`IndexAlignedPlan`] — the prefetch plan for reads through an index,
@@ -17,7 +17,7 @@ pub mod plan;
 pub mod strategy;
 pub mod thread_pool;
 
-pub use cache::{Cache, CacheStatistics, CacheStrategy, LeastRecentlyUsed};
+pub use cache::{Cache, CacheStatistics};
 pub use plan::IndexAlignedPlan;
 pub use strategy::FetchNextAdaptive;
 pub use thread_pool::{PoolStatistics, TaskHandle, ThreadPool};

@@ -12,8 +12,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
-use rgz_trace::{EventMeta, Outcome, Stage, TraceSink};
+use rgz_metrics::{exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry};
+use rgz_trace::{Stage, TraceSink};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -49,19 +49,19 @@ impl PoolObservers {
             inflight: AtomicI64::new(0),
             submitted: AtomicU64::new(0),
             queue_depth_gauge: metrics.gauge(
-                "rgz_pool_queue_depth",
+                names::POOL_QUEUE_DEPTH,
                 "Tasks submitted to the worker pool but not yet started.",
             ),
             inflight_gauge: metrics.gauge(
-                "rgz_pool_tasks_inflight",
+                names::POOL_TASKS_INFLIGHT,
                 "Tasks currently executing on a pool worker.",
             ),
             tasks_total: metrics.counter(
-                "rgz_pool_tasks_total",
+                names::POOL_TASKS_TOTAL,
                 "Total tasks submitted to the worker pool.",
             ),
             task_wait_seconds: metrics.histogram(
-                "rgz_pool_task_wait_seconds",
+                names::POOL_TASK_WAIT_SECONDS,
                 "Time a task spent queued before a worker picked it up.",
                 &exponential_buckets(0.000_05, 4.0, 10),
             ),
@@ -185,12 +185,11 @@ impl ThreadPool {
         F: FnOnce() -> T + Send + 'static,
     {
         let (result_sender, result_receiver) = unbounded();
-        // Capture the submit timestamp so the worker can record how long the
-        // task sat in the queue; `None` (sink disabled) skips the span.
-        let submitted_us = self.trace.is_enabled().then(|| self.trace.now_us());
-        // Same idea for the metrics histogram: no `Instant::now` unless the
-        // registry is live.
-        let submitted_at = self.observers.metrics.is_enabled().then(Instant::now);
+        // One submit timestamp lets the worker record how long the task sat
+        // in the queue, as a span and a histogram observation at once; no
+        // `Instant::now` unless the sink or the registry is live.
+        let submitted =
+            (self.trace.is_enabled() || self.observers.metrics.is_enabled()).then(Instant::now);
         let trace = Arc::clone(&self.trace);
         let observers = Arc::clone(&self.observers);
         observers.queued.fetch_add(1, Ordering::Relaxed);
@@ -202,18 +201,8 @@ impl ThreadPool {
             observers.inflight.fetch_add(1, Ordering::Relaxed);
             observers.queue_depth_gauge.dec();
             observers.inflight_gauge.inc();
-            if let Some(submitted_at) = submitted_at {
-                observers
-                    .task_wait_seconds
-                    .observe(submitted_at.elapsed().as_secs_f64());
-            }
-            if let Some(submitted_us) = submitted_us {
-                trace.record_span_since(
-                    Stage::TaskWait,
-                    submitted_us,
-                    EventMeta::default(),
-                    Outcome::Ok,
-                );
+            if let Some(submitted) = submitted {
+                trace.record_span_since(Stage::TaskWait, submitted, &observers.task_wait_seconds);
             }
             let outcome = catch_unwind(AssertUnwindSafe(task));
             observers.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -370,9 +359,9 @@ mod tests {
         assert_eq!(stats.queue_depth, 2);
         assert_eq!(stats.tasks_submitted, 3);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_pool_tasks_inflight", &[]), Some(1));
-        assert_eq!(snapshot.gauge("rgz_pool_queue_depth", &[]), Some(2));
-        assert_eq!(snapshot.counter("rgz_pool_tasks_total", &[]), Some(3));
+        assert_eq!(snapshot.gauge(names::POOL_TASKS_INFLIGHT, &[]), Some(1));
+        assert_eq!(snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]), Some(2));
+        assert_eq!(snapshot.counter(names::POOL_TASKS_TOTAL, &[]), Some(3));
         block_tx.send(()).unwrap();
         blocker.wait();
         for handle in queued {
@@ -382,11 +371,11 @@ mod tests {
         assert_eq!(stats.queue_depth, 0);
         assert_eq!(stats.tasks_inflight, 0);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_pool_queue_depth", &[]), Some(0));
-        assert_eq!(snapshot.gauge("rgz_pool_tasks_inflight", &[]), Some(0));
+        assert_eq!(snapshot.gauge(names::POOL_QUEUE_DEPTH, &[]), Some(0));
+        assert_eq!(snapshot.gauge(names::POOL_TASKS_INFLIGHT, &[]), Some(0));
         assert_eq!(
             snapshot
-                .histogram("rgz_pool_task_wait_seconds", &[])
+                .histogram(names::POOL_TASK_WAIT_SECONDS, &[])
                 .unwrap()
                 .count,
             3

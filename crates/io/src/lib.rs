@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rgz_metrics::{exponential_buckets, Counter, Histogram, MetricsRegistry};
+use rgz_metrics::{exponential_buckets, names, Counter, Histogram, MetricsRegistry};
 
 /// Positional, thread-safe read access to a compressed input.
 pub trait FileReader: Send + Sync {
@@ -182,15 +182,15 @@ impl InstrumentedFileReader {
     /// Wraps `inner`, registering the I/O metric families on `metrics`.
     pub fn new(inner: Arc<dyn FileReader>, metrics: Arc<MetricsRegistry>) -> Self {
         let reads_total = metrics.counter(
-            "rgz_read_calls_total",
+            names::READ_CALLS,
             "Positional read calls issued to the compressed input.",
         );
         let read_bytes_total = metrics.counter(
-            "rgz_read_bytes_total",
+            names::READ_BYTES,
             "Compressed bytes returned by positional reads (includes speculative re-reads).",
         );
         let read_seconds = metrics.histogram(
-            "rgz_read_seconds",
+            names::READ_SECONDS,
             "Latency of one positional read call.",
             &exponential_buckets(0.000_01, 4.0, 10),
         );
@@ -353,19 +353,16 @@ mod tests {
         assert_eq!(reader.read_range(0, 1000).unwrap(), &data[..1000]);
         assert_eq!(reader.read_range(4000, 200).unwrap(), &data[4000..]);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("rgz_read_calls_total", &[]), Some(2));
-        assert_eq!(snapshot.counter("rgz_read_bytes_total", &[]), Some(1096));
+        assert_eq!(snapshot.counter(names::READ_CALLS, &[]), Some(2));
+        assert_eq!(snapshot.counter(names::READ_BYTES, &[]), Some(1096));
         assert_eq!(
-            snapshot.histogram("rgz_read_seconds", &[]).unwrap().count,
+            snapshot.histogram(names::READ_SECONDS, &[]).unwrap().count,
             2
         );
         // A disabled registry must not count (and not pay for timers).
         registry.set_enabled(false);
         reader.read_range(0, 100).unwrap();
-        assert_eq!(
-            registry.snapshot().counter("rgz_read_calls_total", &[]),
-            Some(2)
-        );
+        assert_eq!(registry.snapshot().counter(names::READ_CALLS, &[]), Some(2));
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub mod names {
     /// `index_unverified`}.
     pub const VERIFICATION: &str = "rgz_verification_total";
     /// Histogram, label `stage` ∈ {`decode_two_stage`, `decode_one_stage`,
-    /// `marker_replace`, `crc_fold`, `prefetch_decode`, `random_access`}.
+    /// `marker_replace`, `crc_fold`, `prefetch_decode`, `random_access`};
+    /// one observation per trace span of that stage.
     pub const STAGE_SECONDS: &str = "rgz_stage_seconds";
 
     // rgz_fetcher: the worker pool.

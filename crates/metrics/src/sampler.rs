@@ -83,7 +83,8 @@ impl SamplerShared {
     }
 }
 
-/// Owns the sampling thread; dropping it stops the thread and joins it.
+/// Owns the sampling thread; dropping it takes one final sample, stops the
+/// thread and joins it.
 pub struct Sampler {
     shared: Arc<SamplerShared>,
     stop: Option<mpsc::Sender<()>>,
@@ -99,7 +100,9 @@ impl Sampler {
     }
 
     /// Like [`Sampler::start`], with an observer invoked (on the sampler
-    /// thread) after every tick with the freshest window.
+    /// thread) after every tick with the freshest window, and once more when
+    /// the sampler is dropped, so counts recorded after the last tick still
+    /// reach it.
     pub fn start_with_observer(
         registry: Arc<MetricsRegistry>,
         interval: Duration,
@@ -124,24 +127,28 @@ impl Sampler {
         let thread_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("rgz-sampler".to_string())
-            .spawn(move || {
+            .spawn(move || loop {
                 // Any non-timeout result means the sender hung up (or sent an
-                // explicit stop message): the loop ends and the thread exits.
-                while let Err(RecvTimeoutError::Timeout) = ticks.recv_timeout(interval) {
-                    let current = TimedSample {
-                        elapsed: started.elapsed(),
-                        snapshot: registry.snapshot(),
-                    };
-                    thread_shared.push(current.clone());
-                    let window = SampleWindow {
-                        previous,
-                        current: current.clone(),
-                    };
-                    if let Some(observer) = observer.as_ref() {
-                        observer(&window);
-                    }
-                    previous = current;
+                // explicit stop message): one last window still covers what
+                // was recorded since the previous tick, then the thread exits.
+                let stopping =
+                    !matches!(ticks.recv_timeout(interval), Err(RecvTimeoutError::Timeout));
+                let current = TimedSample {
+                    elapsed: started.elapsed(),
+                    snapshot: registry.snapshot(),
+                };
+                thread_shared.push(current.clone());
+                let window = SampleWindow {
+                    previous,
+                    current: current.clone(),
+                };
+                if let Some(observer) = observer.as_ref() {
+                    observer(&window);
                 }
+                if stopping {
+                    break;
+                }
+                previous = current;
             })
             .expect("failed to spawn sampler thread");
         Sampler {
@@ -252,12 +259,32 @@ mod tests {
             })),
         );
         counter.add(7);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while seen.load(std::sync::atomic::Ordering::Relaxed) < 7 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The final window delivered on drop covers whatever no tick did.
         drop(sampler);
         assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn drop_delivers_counts_recorded_after_the_last_tick() {
+        let registry = Arc::new(MetricsRegistry::new_enabled());
+        let counter = registry.counter("late_total", "test");
+        let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let seen_in_observer = Arc::clone(&seen);
+        // Dropped long before the first tick is due.
+        let sampler = Sampler::start_with_observer(
+            Arc::clone(&registry),
+            Duration::from_secs(1),
+            4,
+            Some(Box::new(move |window| {
+                seen_in_observer.fetch_add(
+                    window.counter_total_delta("late_total"),
+                    std::sync::atomic::Ordering::Relaxed,
+                );
+            })),
+        );
+        counter.add(3);
+        drop(sampler);
+        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub use chrome::chrome_trace_json;
 pub use metrics::{instants, MetricsReport, StageSummary, ThreadSummary};
 
 use parking_lot::Mutex;
+use rgz_metrics::Histogram;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -299,41 +300,30 @@ impl TraceSink {
     /// Returns a disarmed no-op guard when the sink is disabled.
     #[inline]
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard::disarmed();
-        }
+        let sink = self.is_enabled().then_some(self);
         SpanGuard {
-            sink: Some(self),
+            sink,
+            histogram: None,
             stage,
-            start_us: self.now_us(),
+            started: sink.map(|_| Instant::now()),
             meta: EventMeta::default(),
             outcome: Outcome::Ok,
         }
     }
 
-    /// Records a span whose start timestamp was captured earlier (possibly on
-    /// a different thread) with [`TraceSink::now_us`]. Used for queue-wait
-    /// spans where the interval spans submit → dequeue.
+    /// Records a span that started at `started` (captured earlier, possibly
+    /// on a different thread) and ends now, observing its seconds on
+    /// `histogram` too.  Used for queue-wait spans, where the interval runs
+    /// from submit to dequeue.
     #[inline]
-    pub fn record_span_since(
-        &self,
-        stage: Stage,
-        start_us: u64,
-        meta: EventMeta,
-        outcome: Outcome,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let now = self.now_us();
-        self.record(Event {
-            kind: EventKind::Span {
-                stage,
-                start_us,
-                duration_us: now.saturating_sub(start_us),
-                outcome,
-            },
-            meta,
+    pub fn record_span_since(&self, stage: Stage, started: Instant, histogram: &Histogram) {
+        drop(SpanGuard {
+            sink: self.is_enabled().then_some(self),
+            histogram: Some(histogram),
+            stage,
+            started: Some(started),
+            meta: EventMeta::default(),
+            outcome: Outcome::Ok,
         });
     }
 
@@ -431,28 +421,32 @@ impl TraceSink {
 ///
 /// Identifying metadata can be attached up front with the builder methods or
 /// after the work with the `set_*` methods; the duration always runs from
-/// `span()` to drop.
+/// `span()` to drop.  A guard that also [`observe`](SpanGuard::observe)s a
+/// histogram reads the clock once at open and once at drop and feeds the same
+/// interval to both the span and the histogram, so the two can never
+/// disagree about a stage.
 #[must_use = "a span measures the scope it lives in; dropping it immediately records a zero-length span"]
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     sink: Option<&'a TraceSink>,
+    histogram: Option<&'a Histogram>,
     stage: Stage,
-    start_us: u64,
+    /// When the span opened; `None` while neither the sink nor a histogram
+    /// needs the clock.
+    started: Option<Instant>,
     meta: EventMeta,
     outcome: Outcome,
 }
 
 impl<'a> SpanGuard<'a> {
-    /// A guard that records nothing; returned when the sink is disabled.
+    /// Also observes the span's duration, in seconds, on `histogram` when the
+    /// guard drops — whatever the outcome, so the histogram counts exactly
+    /// the spans of its stage.  Works whether or not the sink is enabled.
     #[inline]
-    fn disarmed() -> SpanGuard<'a> {
-        SpanGuard {
-            sink: None,
-            stage: Stage::SerialDecode,
-            start_us: 0,
-            meta: EventMeta::default(),
-            outcome: Outcome::Ok,
-        }
+    pub fn observe(mut self, histogram: &'a Histogram) -> Self {
+        self.started.get_or_insert_with(Instant::now);
+        self.histogram = Some(histogram);
+        self
     }
 
     /// Attaches the chunk id (compressed bit offset).
@@ -520,13 +514,21 @@ impl<'a> SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     #[inline]
     fn drop(&mut self) {
+        let Some(started) = self.started else { return };
+        let elapsed = started.elapsed();
+        if let Some(histogram) = self.histogram {
+            histogram.observe(elapsed.as_secs_f64());
+        }
         let Some(sink) = self.sink else { return };
-        let end_us = sink.now_us();
+        // Both ends are rebased on the epoch, so per-thread end times stay
+        // monotonic however the two roundings fall.
+        let micros = |at: Instant| at.saturating_duration_since(sink.epoch).as_micros() as u64;
+        let start_us = micros(started);
         sink.record(Event {
             kind: EventKind::Span {
                 stage: self.stage,
-                start_us: self.start_us,
-                duration_us: end_us.saturating_sub(self.start_us),
+                start_us,
+                duration_us: micros(started + elapsed).saturating_sub(start_us),
                 outcome: self.outcome,
             },
             meta: self.meta,
@@ -535,8 +537,7 @@ impl Drop for SpanGuard<'_> {
 }
 
 /// Escapes `text` for inclusion in a JSON string literal. Shared by the
-/// Chrome exporter and the metrics JSON renderer; kept dependency-free so
-/// `rgz_trace` stays a leaf crate.
+/// Chrome exporter and the metrics JSON renderer.
 pub(crate) fn escape_json(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
@@ -569,7 +570,7 @@ mod tests {
         }
         sink.instant("spec_commit", EventMeta::default());
         sink.counter("bytes", 3);
-        sink.record_span_since(Stage::TaskWait, 0, EventMeta::default(), Outcome::Ok);
+        sink.record_span_since(Stage::TaskWait, Instant::now(), &Histogram::disconnected());
         assert_eq!(sink.event_count(), 0);
         assert!(sink.snapshot().is_empty());
     }
@@ -648,21 +649,13 @@ mod tests {
     #[test]
     fn cross_thread_queue_wait_span_lands_on_recording_thread() {
         let sink = Arc::new(TraceSink::new_enabled());
-        let submit_us = sink.now_us();
+        let submitted = Instant::now();
         let worker = {
             let sink = Arc::clone(&sink);
             std::thread::Builder::new()
                 .name("trace-worker".into())
                 .spawn(move || {
-                    sink.record_span_since(
-                        Stage::TaskWait,
-                        submit_us,
-                        EventMeta {
-                            chunk: Some(1),
-                            ..EventMeta::default()
-                        },
-                        Outcome::Ok,
-                    );
+                    sink.record_span_since(Stage::TaskWait, submitted, &Histogram::disconnected());
                 })
                 .unwrap()
         };
@@ -677,6 +670,33 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn observed_span_feeds_its_duration_to_the_histogram() {
+        let registry = rgz_metrics::MetricsRegistry::new_enabled();
+        let histogram = registry.histogram("stage_seconds", "test", &[1.0]);
+        let sink = TraceSink::new_enabled();
+        {
+            let mut span = sink.span(Stage::CrcFold).observe(&histogram);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            span.set_outcome(Outcome::Error);
+        }
+        let EventKind::Span { duration_us, .. } = sink.snapshot()[0].events[0].kind else {
+            panic!("expected a span");
+        };
+        let observed = histogram.snapshot_values();
+        assert_eq!(observed.count, 1, "error spans are observed too");
+        assert!(duration_us >= 2_000);
+        // One interval feeds both: they differ by at most the rounding of
+        // the span's two ends to whole microseconds.
+        assert!((observed.sum * 1e6 - duration_us as f64).abs() <= 1.0);
+
+        // A disabled sink still times the stage for the histogram.
+        let silent = TraceSink::new();
+        silent.span(Stage::CrcFold).observe(&histogram).finish();
+        assert_eq!(histogram.snapshot_values().count, 2);
+        assert_eq!(silent.event_count(), 0);
     }
 
     #[test]

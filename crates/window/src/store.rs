@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rgz_fetcher::{Cache, CacheStatistics, TaskHandle, ThreadPool};
-use rgz_metrics::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry};
+use rgz_metrics::{exponential_buckets, names, Counter, Gauge, Histogram, MetricsRegistry};
 use rgz_trace::{Outcome, Stage, TraceSink};
 
 use crate::compressed::{CompressedWindow, WindowError};
@@ -79,30 +79,30 @@ impl StoreMetrics {
     fn register(registry: &MetricsRegistry) -> Self {
         let cache_event = |event| {
             registry.counter_with_labels(
-                "rgz_window_cache_total",
+                names::WINDOW_CACHE,
                 "Hot (decompressed) window cache events.",
                 &[("event", event)],
             )
         };
         Self {
             stored_bytes: registry.gauge(
-                "rgz_window_store_bytes",
+                names::WINDOW_STORE_BYTES,
                 "Compressed payload bytes currently held by the window store.",
             ),
             windows: registry.gauge(
-                "rgz_window_store_windows",
+                names::WINDOW_STORE_WINDOWS,
                 "Seek-point windows currently held by the window store.",
             ),
             cache_hits: cache_event("hit"),
             cache_misses: cache_event("miss"),
             cache_evictions: cache_event("evicted"),
             compress_seconds: registry.histogram(
-                "rgz_window_compress_seconds",
+                names::WINDOW_COMPRESS_SECONDS,
                 "Time to sparsify and deflate one seek-point window.",
                 &exponential_buckets(0.000_02, 4.0, 10),
             ),
             inflate_seconds: registry.histogram(
-                "rgz_window_inflate_seconds",
+                names::WINDOW_INFLATE_SECONDS,
                 "Time to re-inflate one stored window for random access.",
                 &exponential_buckets(0.000_02, 4.0, 10),
             ),
@@ -257,11 +257,13 @@ impl WindowStore {
         let stored_bytes = inner.metrics.stored_bytes.clone();
         let compress_seconds = inner.metrics.compress_seconds.clone();
         let traced_job = move || {
-            let timer = compress_seconds.start_timer();
-            let mut span = trace.span(Stage::WindowCompress).chunk(offset);
+            let mut span = trace
+                .span(Stage::WindowCompress)
+                .chunk(offset)
+                .observe(&compress_seconds);
             let record = job();
             span.set_bytes(u64::from(record.window_length));
-            drop(timer);
+            span.finish();
             stored_bytes.add(record.stored_bytes() as i64);
             record
         };
@@ -314,21 +316,27 @@ impl WindowStore {
         let Some(record) = inner.resolve(offset) else {
             return Ok(None);
         };
-        let trace = Arc::clone(&inner.trace);
-        let timer = inner.metrics.inflate_seconds.start_timer();
-        let mut span = trace.span(Stage::WindowInflate).chunk(offset);
-        match record.decompress() {
+        let inflated = {
+            let mut span = inner
+                .trace
+                .span(Stage::WindowInflate)
+                .chunk(offset)
+                .observe(&inner.metrics.inflate_seconds);
+            let inflated = record.decompress();
+            match &inflated {
+                Ok(window) => span.set_bytes(window.len() as u64),
+                Err(_) => span.set_outcome(Outcome::Error),
+            }
+            inflated
+        };
+        match inflated {
             Ok(window) => {
-                span.set_bytes(window.len() as u64);
-                drop(timer);
                 let window = Arc::new(window);
                 inner.hot.insert(offset, window.clone());
                 inner.publish_cache_deltas();
                 Ok(Some(window))
             }
             Err(error) => {
-                span.set_outcome(Outcome::Error);
-                timer.discard();
                 inner.corrupt_windows += 1;
                 Err(error)
             }
@@ -467,33 +475,33 @@ mod tests {
         store.get(2).unwrap().unwrap(); // miss, evicts offset 0
         let statistics = store.statistics();
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauge("rgz_window_store_windows", &[]), Some(3));
+        assert_eq!(snapshot.gauge(names::WINDOW_STORE_WINDOWS, &[]), Some(3));
         assert_eq!(
-            snapshot.gauge("rgz_window_store_bytes", &[]),
+            snapshot.gauge(names::WINDOW_STORE_BYTES, &[]),
             Some(statistics.stored_bytes as i64)
         );
         assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "hit")]),
+            snapshot.counter(names::WINDOW_CACHE, &[("event", "hit")]),
             Some(statistics.hot_cache.hits)
         );
         assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "miss")]),
+            snapshot.counter(names::WINDOW_CACHE, &[("event", "miss")]),
             Some(statistics.hot_cache.misses)
         );
         assert_eq!(
-            snapshot.counter("rgz_window_cache_total", &[("event", "evicted")]),
+            snapshot.counter(names::WINDOW_CACHE, &[("event", "evicted")]),
             Some(statistics.hot_cache.evictions)
         );
         assert_eq!(
             snapshot
-                .histogram("rgz_window_compress_seconds", &[])
+                .histogram(names::WINDOW_COMPRESS_SECONDS, &[])
                 .unwrap()
                 .count,
             3
         );
         assert_eq!(
             snapshot
-                .histogram("rgz_window_inflate_seconds", &[])
+                .histogram(names::WINDOW_INFLATE_SECONDS, &[])
                 .unwrap()
                 .count,
             3,
